@@ -474,9 +474,23 @@ nn::TrainReport PnpTuner::fine_tune(const std::vector<int>& train_regions,
   }
 }
 
+void PnpTuner::check_region(int region) const {
+  PNP_CHECK_MSG(region >= 0 && region < db_.num_regions(),
+                "region " << region << " out of range [0, "
+                          << db_.num_regions() << ")");
+}
+
+void PnpTuner::check_cap(int cap_index) const {
+  PNP_CHECK_MSG(cap_index >= 0 && cap_index < db_.num_caps(),
+                "cap index " << cap_index << " out of range [0, "
+                             << db_.num_caps() << ")");
+}
+
 sim::OmpConfig PnpTuner::predict_power(int region, int cap_index) const {
   PNP_CHECK_MSG(mode_ == Mode::Power && net_ != nullptr,
                 "train_power_scenario must run first");
+  check_region(region);
+  check_cap(cap_index);
   const auto extra = make_extra(region, cap_index, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
@@ -491,6 +505,7 @@ sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
                 "train_power_scenario must run first");
   PNP_CHECK_MSG(!opt_.cap_onehot,
                 "predicting at an arbitrary cap requires the scalar feature");
+  check_region(region);
   const auto extra = make_extra(region, std::nullopt, cap_w);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
@@ -500,6 +515,7 @@ sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
 PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
   PNP_CHECK_MSG(mode_ == Mode::Edp && net_ != nullptr,
                 "train_edp_scenario must run first");
+  check_region(region);
   const auto extra = make_extra(region, std::nullopt, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);

@@ -105,7 +105,8 @@ class PnpTuner {
   }
 
   /// Predict the best OpenMP configuration for `region` at `cap_index`.
-  /// `cap_w_override` substitutes the cap feature value (unseen caps).
+  /// predict_power_at takes the cap in watts (unseen caps). Like
+  /// predict_edp, both throw pnp::Error on an out-of-range region or cap.
   sim::OmpConfig predict_power(int region, int cap_index) const;
   sim::OmpConfig predict_power_at(int region, double cap_w) const;
 
@@ -177,6 +178,11 @@ class PnpTuner {
   // The serving layer's immutable model wrapper reuses the tuner's private
   // caches and decode helpers without widening the public API.
   friend class pnp::serve::ModelState;
+
+  /// Throw pnp::Error unless `region` / `cap_index` indexes the db — the
+  /// one bounds rule every predictor and serving layer shares.
+  void check_region(int region) const;
+  void check_cap(int cap_index) const;
 
   /// make_extra into a caller-owned buffer (no allocation once the
   /// buffer's capacity is warm) — the serving fast path.

@@ -1,5 +1,7 @@
 #include "serve/inference_engine.hpp"
 
+#include <algorithm>
+
 #ifdef PNP_PARALLEL
 #include <omp.h>
 #endif
@@ -112,15 +114,11 @@ void ModelState::Workspace::bind(const ModelState& m) {
 bool ModelState::scalar_cap() const { return !tuner_.opt_.cap_onehot; }
 
 void ModelState::validate_region(int region) const {
-  PNP_CHECK_MSG(region >= 0 && region < tuner_.db_.num_regions(),
-                "region " << region << " out of range [0, "
-                          << tuner_.db_.num_regions() << ")");
+  tuner_.check_region(region);
 }
 
 void ModelState::validate_cap(int cap_index) const {
-  PNP_CHECK_MSG(cap_index >= 0 && cap_index < tuner_.db_.num_caps(),
-                "cap index " << cap_index << " out of range [0, "
-                             << tuner_.db_.num_caps() << ")");
+  tuner_.check_cap(cap_index);
 }
 
 void ModelState::require_mode(core::PnpTuner::Mode m, const char* what) const {
@@ -145,10 +143,21 @@ void ModelState::encode(int region, nn::RgcnNet::GnnCache& out) const {
     out.readout_f32.resize(out.readout.size());
     for (std::size_t i = 0; i < out.readout.size(); ++i)
       out.readout_f32[i] = static_cast<float>(out.readout[i]);
+  } else {
+    // A reused workspace may still hold an f32 model's readout; drop it
+    // so run_heads' f32 guard can't accept this encoding.
+    out.readout_f32.clear();
   }
 }
 
-void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
+Encoding ModelState::encode_readout(int region,
+                                    nn::RgcnNet::GnnCache& ws) const {
+  encode(region, ws);
+  ws.g = nullptr;
+  return Encoding{ws.readout, ws.readout_f32};
+}
+
+void ModelState::run_heads(ReadoutView enc, int region,
                            std::optional<int> cap_index,
                            std::optional<double> cap_w, Scratch& s) const {
   s.cap_w = cap_index.has_value()
@@ -185,7 +194,7 @@ void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
                          cfg.head_sizes[static_cast<std::size_t>(h)]))));
 }
 
-void ModelState::run_heads(const nn::RgcnNet::GnnCache& enc, int region,
+void ModelState::run_heads(ReadoutView enc, int region,
                            std::optional<int> cap_index,
                            std::optional<double> cap_w, Workspace& ws) const {
   ws.bind(*this);
@@ -385,28 +394,34 @@ InferenceEngine::InferenceEngine(core::PnpTuner tuner, EngineOptions options)
 void InferenceEngine::ensure_encoded(std::span<const int> regions) {
   // The OpenMP thread count may have been raised since construction
   // (omp_set_num_threads); re-size the per-thread scratch at this serial
-  // point so the dense phase never indexes past it.
+  // point so neither phase indexes past it.
   if (scratch_.size() < static_cast<std::size_t>(worker_count()))
     scratch_.resize(static_cast<std::size_t>(worker_count()));
-  // Validate the whole batch before touching the cache: a reserved slot
-  // for a region that never gets encoded would poison every later query.
+  // Validate the whole batch before encoding anything.
   for (int r : regions) state_.validate_region(r);
   pending_.clear();
-  for (int r : regions) {
-    // try_emplace both dedupes the work list and reserves the cache slot;
-    // unordered_map references stay valid across later insertions.
-    if (enc_.try_emplace(r).second) pending_.push_back(r);
-  }
+  for (int r : regions)
+    if (!enc_.contains(r)) pending_.push_back(r);
   if (pending_.empty()) return;
-  const auto encode_one = [this](int r) {
-    state_.encode(r, enc_.find(r)->second);
-  };
+  std::sort(pending_.begin(), pending_.end());
+  pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                 pending_.end());
+  // Each miss encodes in its thread's reused GNN workspace; only the
+  // readouts are kept, and they enter the cache after every encode of
+  // the batch returned.
+  fresh_.resize(pending_.size());
 #ifdef PNP_PARALLEL
 #pragma omp parallel for schedule(dynamic)
-  for (std::size_t i = 0; i < pending_.size(); ++i) encode_one(pending_[i]);
+  for (std::size_t i = 0; i < pending_.size(); ++i)
+    fresh_[i] = state_.encode_readout(
+        pending_[i],
+        scratch_[static_cast<std::size_t>(omp_get_thread_num())].gnn);
 #else
-  for (int r : pending_) encode_one(r);
+  for (std::size_t i = 0; i < pending_.size(); ++i)
+    fresh_[i] = state_.encode_readout(pending_[i], scratch_[0].gnn);
 #endif
+  for (std::size_t i = 0; i < pending_.size(); ++i)
+    enc_.emplace(pending_[i], std::move(fresh_[i]));
 }
 
 template <class Fn>
@@ -420,8 +435,7 @@ void InferenceEngine::for_each_query(std::size_t n, Fn&& fn) {
 #endif
 }
 
-sim::OmpConfig InferenceEngine::serve_power(const nn::RgcnNet::GnnCache& enc,
-                                            int region,
+sim::OmpConfig InferenceEngine::serve_power(ReadoutView enc, int region,
                                             std::optional<int> cap_index,
                                             std::optional<double> cap_w,
                                             PerThread& t) {

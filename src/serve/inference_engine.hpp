@@ -13,10 +13,11 @@
 ///    "publish a new ModelState snapshot".
 ///
 ///  - InferenceEngine: batched single-caller serving. Each distinct region
-///    graph is encoded through the GNN at most once and cached across
-///    batches; per-query buffers are reused so steady-state serving does
-///    zero heap allocation; under PNP_PARALLEL the encode and dense phases
-///    run query-parallel with per-thread scratch, bit-identical to serial.
+///    graph is encoded through the GNN at most once and its readout cached
+///    across batches; per-query buffers are reused so steady-state serving
+///    does zero heap allocation; under PNP_PARALLEL the encode and dense
+///    phases run query-parallel with per-thread scratch, bit-identical to
+///    serial.
 ///
 /// See docs/SERVING.md for the end-to-end flow (pnp_tune CLI → artifact →
 /// engine → service).
@@ -38,6 +39,31 @@ namespace pnp::serve {
 struct PowerQuery {
   int region = 0;
   int cap_index = 0;
+};
+
+/// What a serving cache keeps for one encoded region: the mean-pooled
+/// RGCN readout (paper §III-D), plus its f32 copy when the model serves at
+/// Precision::f32 (empty at f64). This is everything run_heads reads —
+/// about 200 B per region, where the full nn::RgcnNet::GnnCache an encode
+/// runs in (every layer's H, Z and per-relation aggregates, kept for
+/// backprop) is about 390 KB.
+struct Encoding {
+  std::vector<double> readout;
+  std::vector<float> readout_f32;
+};
+
+/// Read-only view of one region's readouts — the input of run_heads.
+/// Converts implicitly from a cached Encoding and from a GnnCache that
+/// ModelState::encode filled, so either can be served directly.
+struct ReadoutView {
+  std::span<const double> readout;
+  std::span<const float> readout_f32;
+
+  // Implicit on purpose: callers pass either source straight through.
+  ReadoutView(const Encoding& e)
+      : readout(e.readout), readout_f32(e.readout_f32) {}
+  ReadoutView(const nn::RgcnNet::GnnCache& c)
+      : readout(c.readout), readout_f32(c.readout_f32) {}
 };
 
 /// An immutable trained model. All methods are const and safe to call
@@ -117,22 +143,27 @@ class ModelState {
 
   // --- Serving primitives ------------------------------------------------
   /// GNN-encode one region into `out`, reusing its buffers (zero
-  /// allocation when the shapes already match).
+  /// allocation when the shapes already match). At Precision::f32 this
+  /// also fills out.readout_f32; at f64 it empties it.
   void encode(int region, nn::RgcnNet::GnnCache& out) const;
+
+  /// The miss path of both serving caches: encode() into the caller's
+  /// reused workspace `ws`, then copy out only the readouts. Leaves
+  /// ws.g unset, since this model's graphs may be retired (hot reload)
+  /// before the workspace's next encode.
+  Encoding encode_readout(int region, nn::RgcnNet::GnnCache& ws) const;
 
   /// Dense pass + argmax over a cached encoding; fills s.preds. Exactly
   /// one of `cap_index` / `cap_w` is set for power queries (cap_w serves
   /// held-out caps on scalar-cap models); both empty for EDP.
-  void run_heads(const nn::RgcnNet::GnnCache& enc, int region,
-                 std::optional<int> cap_index, std::optional<double> cap_w,
-                 Scratch& s) const;
+  void run_heads(ReadoutView enc, int region, std::optional<int> cap_index,
+                 std::optional<double> cap_w, Scratch& s) const;
 
   /// Arena-backed run_heads: identical arithmetic (the dense phase runs
   /// through the same span implementation), zero allocations at steady
   /// state. Results are bit-identical to the Scratch overload.
-  void run_heads(const nn::RgcnNet::GnnCache& enc, int region,
-                 std::optional<int> cap_index, std::optional<double> cap_w,
-                 Workspace& ws) const;
+  void run_heads(ReadoutView enc, int region, std::optional<int> cap_index,
+                 std::optional<double> cap_w, Workspace& ws) const;
 
   /// Decode after a power-scenario run_heads: the argmax tuple in preds is
   /// constraint-checked against the stashed query cap; a violation falls
@@ -219,15 +250,18 @@ class InferenceEngine {
 
  private:
   /// Per-thread serving state (index 0 serves the serial path): the
-  /// allocation-path Scratch and the arena-backed Workspace; EngineOptions
-  /// picks which one each query uses.
+  /// allocation-path Scratch and the arena-backed Workspace, of which
+  /// EngineOptions picks one per query, plus the GNN workspace this
+  /// thread's cache misses encode in.
   struct PerThread {
     ModelState::Scratch scratch;
     ModelState::Workspace ws;
+    nn::RgcnNet::GnnCache gnn;
   };
 
   /// Encode any not-yet-cached regions of the batch (parallel when built
-  /// with PNP_PARALLEL).
+  /// with PNP_PARALLEL) and cache their readouts; a region is inserted
+  /// only once its encode succeeded.
   void ensure_encoded(std::span<const int> regions);
   /// Run `fn(i, per_thread)` for every i in [0, n) — query-parallel with
   /// per-thread scratch under PNP_PARALLEL, serial otherwise. Queries are
@@ -237,15 +271,16 @@ class InferenceEngine {
   void for_each_query(std::size_t n, Fn&& fn);
   /// run_heads through the arena or allocation path per opt_.use_arena,
   /// then decode_power.
-  sim::OmpConfig serve_power(const nn::RgcnNet::GnnCache& enc, int region,
+  sim::OmpConfig serve_power(ReadoutView enc, int region,
                              std::optional<int> cap_index,
                              std::optional<double> cap_w, PerThread& t);
 
   ModelState state_;
   EngineOptions opt_;
-  std::unordered_map<int, nn::RgcnNet::GnnCache> enc_;
+  std::unordered_map<int, Encoding> enc_;
   std::vector<PerThread> scratch_;
   std::vector<int> pending_;      ///< ensure_encoded work list (reused)
+  std::vector<Encoding> fresh_;   ///< readouts of pending_, pre-insert
   std::vector<int> regions_buf_;  ///< per-batch region-id staging (reused)
 };
 

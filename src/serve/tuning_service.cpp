@@ -53,8 +53,8 @@ TuningService::Snapshot::Snapshot(core::PnpTuner tuner,
       shards(shard_count),
       counters(std::move(ctrs)) {}
 
-const nn::RgcnNet::GnnCache& TuningService::Snapshot::encoding(
-    int region) const {
+const Encoding& TuningService::Snapshot::encoding(
+    int region, nn::RgcnNet::GnnCache& gnn) const {
   const std::size_t stripe =
       locks.stripe_of(static_cast<std::uint64_t>(region));
   {
@@ -62,21 +62,18 @@ const nn::RgcnNet::GnnCache& TuningService::Snapshot::encoding(
     const auto it = shards[stripe].find(region);
     if (it != shards[stripe].end()) {
       counters->encode_hits.fetch_add(1, kRelease);
-      // Safe to use after unlock: entries are append-only and the pointee
-      // is immutable once published under the stripe lock.
-      return *it->second;
+      // Safe to use after unlock: entries are append-only and immutable
+      // once published under the stripe lock.
+      return it->second;
     }
   }
   // Miss: run the GNN outside any lock — encoding dominates the cost and
   // must not serialize unrelated regions. If two threads race on the same
   // region, both encodes are bit-identical and the first insert wins.
-  auto fresh = std::make_unique<nn::RgcnNet::GnnCache>();
-  model.encode(region, *fresh);
+  Encoding fresh = model.encode_readout(region, gnn);
   counters->encode_misses.fetch_add(1, kRelease);
   std::unique_lock<std::shared_mutex> wl(locks.at(stripe));
-  const auto [it, inserted] =
-      shards[stripe].try_emplace(region, std::move(fresh));
-  return *it->second;
+  return shards[stripe].try_emplace(region, std::move(fresh)).first->second;
 }
 
 TuneResult TuningService::Snapshot::serve(const TuneRequest& q, ServeCtx& c,
@@ -87,7 +84,7 @@ TuneResult TuningService::Snapshot::serve(const TuneRequest& q, ServeCtx& c,
   // Same primitives either way; use_arena only picks which per-thread
   // buffers back them (arena fast path vs allocation-path oracle).
   const auto run = [&](std::optional<int> ci, std::optional<double> cw) {
-    const nn::RgcnNet::GnnCache& enc = encoding(q.region);
+    const Encoding& enc = encoding(q.region, c.gnn);
     if (use_arena)
       model.run_heads(enc, q.region, ci, cw, c.ws);
     else

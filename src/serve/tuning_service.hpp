@@ -7,11 +7,11 @@
 /// replaced without downtime. Three mechanisms (docs/SERVING.md has the
 /// full contracts):
 ///
-///  - **Sharded encoding cache.** Per-region GNN encodings live in N
-///    lock-striped shards (common/sync.hpp StripedSharedMutex), so
-///    queries for unrelated regions never contend; each region is encoded
-///    at most once per model version and the encode itself runs outside
-///    any lock.
+///  - **Sharded encoding cache.** Per-region GNN readouts (serve::Encoding,
+///    about 200 B each) live in N lock-striped shards (common/sync.hpp
+///    StripedSharedMutex), so queries for unrelated regions never contend;
+///    each region is encoded at most once per model version, in the
+///    caller's reused GNN workspace and outside any lock.
 ///
 ///  - **Admission queue.** Small concurrent requests coalesce into
 ///    batches (leader/follower combining): the first caller to find no
@@ -25,10 +25,11 @@
 ///    leader/follower queue with N dedicated worker threads, requests
 ///    routed by region hash (common/sync.hpp shard_of_key) to the worker
 ///    whose index equals the region's cache stripe. Each worker owns one
-///    serving context — allocation-path Scratch plus arena-backed
-///    Workspace (nn/arena.hpp) — so steady-state serving is
-///    allocation-free and workers never touch each other's cache
-///    stripes. Optionally pinned to cores (pin_workers).
+///    serving context — allocation-path Scratch, arena-backed Workspace
+///    (nn/arena.hpp) and the GNN workspace its misses encode in — so
+///    steady-state serving is allocation-free and workers never touch
+///    each other's cache stripes. Optionally pinned to cores
+///    (pin_workers).
 ///
 ///  - **Versioned hot reload.** reload(path) loads and validates a new
 ///    artifact entirely off to the side, then atomically publishes it
@@ -236,15 +237,17 @@ class TuningService {
   };
 
   /// One thread's serving context: the allocation-path Scratch and the
-  /// arena-backed Workspace; TuningServiceOptions::use_arena picks which
-  /// one each request runs through.
+  /// arena-backed Workspace, of which TuningServiceOptions::use_arena
+  /// picks one per request, plus the GNN workspace a cache miss encodes
+  /// in (reused across misses, regions and snapshots).
   struct ServeCtx {
     ModelState::Scratch scratch;
     ModelState::Workspace ws;
+    nn::RgcnNet::GnnCache gnn;
   };
 
   /// One published model: the immutable ModelState plus its sharded
-  /// encoding cache. The cache is internally synchronized and append-only
+  /// readout cache. The cache is internally synchronized and append-only
   /// (entries are never replaced or erased), so a reference returned by
   /// encoding() stays valid for the snapshot's lifetime.
   struct Snapshot {
@@ -255,16 +258,15 @@ class TuningService {
     std::uint64_t version = 0;
     ModelState model;
     StripedSharedMutex locks;
-    /// shards[i] guarded by locks.at(i); GnnCache pointees are immutable
-    /// once inserted.
-    mutable std::vector<
-        std::unordered_map<int, std::unique_ptr<nn::RgcnNet::GnnCache>>>
-        shards;
+    /// shards[i] guarded by locks.at(i); entries are immutable once
+    /// inserted (unordered_map nodes never move).
+    mutable std::vector<std::unordered_map<int, Encoding>> shards;
     std::shared_ptr<Counters> counters;
 
-    /// Get-or-compute the encoding of `region` (encode runs unlocked; on
-    /// a race the first insert wins — both encodings are bit-identical).
-    const nn::RgcnNet::GnnCache& encoding(int region) const;
+    /// Get-or-compute the encoding of `region`. A miss encodes in `gnn`
+    /// (the caller's workspace) unlocked; on a race the first insert wins
+    /// — both encodings are bit-identical.
+    const Encoding& encoding(int region, nn::RgcnNet::GnnCache& gnn) const;
     /// Serve one request entirely against this snapshot, through the
     /// arena or the allocation path per `use_arena`.
     TuneResult serve(const TuneRequest& q, ServeCtx& c, bool use_arena) const;

@@ -11,13 +11,21 @@
 ///     across power, power_at, and edp queries, and across a hot reload.
 ///  3. The fast path's reason to exist: steady-state arena serving
 ///     performs ZERO heap allocations, verified by counting every global
-///     operator new in this binary.
+///     operator new in this binary. The same counter shows that a cache
+///     miss encodes in a reused GNN workspace and allocates only the
+///     readout entry it caches.
+///  4. Workspace reuse is invisible: one service (and one engine) serving
+///     regions of different graph sizes, through misses, hits and a
+///     reload, answers every query bit-identically to a fresh-memory
+///     reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -368,6 +376,164 @@ TEST_F(ArenaServingFixture, SteadyStateArenaServingIsAllocationFree) {
   EXPECT_EQ(after, before)
       << "arena steady-state serving allocated " << (after - before)
       << " times in 200 requests";
+}
+
+/// Regions ordered so consecutive ones alternate between the smallest and
+/// largest remaining graphs: every step changes the encode workspace's
+/// shapes, growing and shrinking it.
+std::vector<int> size_interleaved_regions(const core::PnpTuner& tuner) {
+  std::vector<int> by_size;
+  for (int r = 0; r < tuner.db().num_regions(); ++r) by_size.push_back(r);
+  // std::sort, not stable_sort: stable_sort's nothrow temporary buffer
+  // bypasses this binary's counting operator new.
+  std::sort(by_size.begin(), by_size.end(), [&](int a, int b) {
+    const int na = tuner.region_graph(a).num_nodes();
+    const int nb = tuner.region_graph(b).num_nodes();
+    return na != nb ? na < nb : a < b;
+  });
+  std::vector<int> out;
+  for (std::size_t lo = 0, hi = by_size.size(); lo < hi;) {
+    out.push_back(by_size[lo++]);
+    if (lo < hi) out.push_back(by_size[--hi]);
+  }
+  return out;
+}
+
+serve::TuningServiceOptions service_options(nn::Precision p, int shards) {
+  serve::TuningServiceOptions opt;
+  opt.precision = p;
+  opt.worker_shards = shards;
+  return opt;
+}
+
+TEST_F(ArenaServingFixture, MissesAllocateOnlyTheirEntryAndHitsNothing) {
+  // A miss encodes in the serving context's reused GNN workspace and
+  // caches only the readouts: the entry's map node, its f64 readout, its
+  // f32 copy (f32 tier), and now and then a grown bucket array. Warm-up
+  // serves every region once so the one workspace has held every graph
+  // shape; a reload of the same artifact then empties the cache and each
+  // region misses again. Worker-shard and direct (coalesce = false) modes
+  // exercise the two ways a request reaches its context without a
+  // per-batch vector of the admission queue.
+  constexpr std::uint64_t kMaxAllocsPerMiss = 4;
+  const std::string path = ::testing::TempDir() + "arena_alloc.pnp";
+  trained_power_artifact().save_file(path);
+  for (const nn::Precision p : {nn::Precision::f64, nn::Precision::f32}) {
+    for (const int shards : {0, 1}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "precision " << static_cast<int>(p) << " shards "
+                   << shards);
+      serve::TuningServiceOptions opt = service_options(p, shards);
+      opt.coalesce = false;
+      serve::TuningService svc(*db_, path, opt);
+      for (int r = 0; r < db_->num_regions(); ++r)
+        (void)svc.tune(serve::TuneRequest::power(r, 0));
+      ASSERT_EQ(svc.reload(path), 2u);
+
+      for (int r = 0; r < db_->num_regions(); ++r) {
+        const std::uint64_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        const serve::TuneResult res = svc.tune(serve::TuneRequest::power(r, 0));
+        const std::uint64_t after =
+            g_allocations.load(std::memory_order_relaxed);
+        ASSERT_EQ(res.model_version, 2u);
+        EXPECT_LE(after - before, kMaxAllocsPerMiss)
+            << "miss on region " << r << " allocated " << (after - before)
+            << " times";
+      }
+      const auto st = svc.stats();
+      EXPECT_EQ(st.encode_misses,
+                2u * static_cast<std::uint64_t>(db_->num_regions()));
+
+      const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      for (int r = 0; r < db_->num_regions(); ++r)
+        for (int k = 0; k < db_->num_caps(); ++k)
+          (void)svc.tune(serve::TuneRequest::power(r, k));
+      const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after, before) << "cache hits allocated " << (after - before)
+                               << " times";
+    }
+  }
+}
+
+TEST_F(ArenaServingFixture, ReusedWorkspaceBitIdenticalAcrossShapesAndReload) {
+  // Reference per tier, computed in fresh memory per region: f64 is
+  // PnpTuner::predict_power; f32 is an f32 ModelState encoding each
+  // region into its own GnnCache.
+  const auto art = trained_power_artifact();
+  const std::string path = ::testing::TempDir() + "arena_reuse.pnp";
+  art.save_file(path);
+  const core::PnpTuner tuner = core::PnpTuner::from_artifact(*db_, art);
+  const std::vector<int> order = size_interleaved_regions(tuner);
+  ASSERT_LT(tuner.region_graph(order[0]).num_nodes(),
+            tuner.region_graph(order[1]).num_nodes());
+  const int nc = db_->num_caps();
+
+  for (const nn::Precision p : {nn::Precision::f64, nn::Precision::f32}) {
+    SCOPED_TRACE(::testing::Message() << "precision " << static_cast<int>(p));
+    std::vector<sim::OmpConfig> want(
+        static_cast<std::size_t>(db_->num_regions() * nc));
+    const auto at = [&](int r, int k) -> sim::OmpConfig& {
+      return want[static_cast<std::size_t>(r * nc + k)];
+    };
+    if (p == nn::Precision::f64) {
+      for (int r = 0; r < db_->num_regions(); ++r)
+        for (int k = 0; k < nc; ++k) at(r, k) = tuner.predict_power(r, k);
+    } else {
+      const serve::ModelState ref(core::PnpTuner::from_artifact(*db_, art),
+                                  nn::Precision::f32);
+      serve::ModelState::Scratch s;
+      for (int r = 0; r < db_->num_regions(); ++r) {
+        nn::RgcnNet::GnnCache fresh;
+        ref.encode(r, fresh);
+        for (int k = 0; k < nc; ++k) {
+          ref.run_heads(fresh, r, k, std::nullopt, s);
+          at(r, k) = ref.decode_power(s);
+        }
+      }
+    }
+
+    for (const int shards : {0, 2}) {
+      SCOPED_TRACE(::testing::Message() << "shards " << shards);
+      serve::TuningService svc(*db_, path, service_options(p, shards));
+      ASSERT_EQ(svc.precision(), p);
+      // Miss (first cap of each region) then hit (the rest), a second
+      // all-hit pass, a reload of the same artifact, and misses again.
+      const auto serve_grid = [&](std::uint64_t version) {
+        for (const int r : order)
+          for (int k = 0; k < nc; ++k) {
+            const auto res = svc.tune(serve::TuneRequest::power(r, k));
+            EXPECT_EQ(res.config, at(r, k)) << "region " << r << " cap " << k;
+            EXPECT_EQ(res.model_version, version);
+          }
+      };
+      serve_grid(1);
+      serve_grid(1);
+      ASSERT_EQ(svc.reload(path), 2u);
+      serve_grid(2);
+      const auto st = svc.stats();
+      EXPECT_EQ(st.encode_misses,
+                2u * static_cast<std::uint64_t>(db_->num_regions()));
+      EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
+    }
+
+    serve::EngineOptions eopt;
+    eopt.precision = p;
+    serve::InferenceEngine engine(core::PnpTuner::from_artifact(*db_, art),
+                                  eopt);
+    std::vector<serve::PowerQuery> grid;
+    for (const int r : order)
+      for (int k = 0; k < nc; ++k) grid.push_back({r, k});
+    for (int pass = 0; pass < 2; ++pass) {  // misses, then hits
+      const auto got = engine.predict_power_batch(grid);
+      ASSERT_EQ(got.size(), grid.size());
+      for (std::size_t i = 0; i < grid.size(); ++i)
+        EXPECT_EQ(got[i], at(grid[i].region, grid[i].cap_index))
+            << "engine pass " << pass << " query " << i;
+      EXPECT_EQ(engine.cached_encodings(),
+                static_cast<std::size_t>(db_->num_regions()));
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "core/pnp_tuner.hpp"
 #include "graph/export.hpp"
@@ -129,6 +131,50 @@ TEST_F(PnpTunerTest, ScenarioModesAreExclusive) {
   tuner.train_edp_scenario(first_regions(12));
   EXPECT_THROW(tuner.predict_power(0, 0), Error);
   EXPECT_NO_THROW(tuner.predict_edp(0));
+}
+
+TEST_F(PnpTunerTest, OutOfRangeRegionOrCapThrows) {
+  const auto throws_out_of_range = [](auto&& call) {
+    try {
+      call();
+    } catch (const Error& e) {
+      return std::string(e.what()).find("out of range") != std::string::npos;
+    }
+    return false;
+  };
+  const int nr = db_->num_regions();
+  const int nc = db_->num_caps();
+  auto opt = fast(19);
+  opt.trainer.max_epochs = 2;
+  for (const bool onehot : {true, false}) {
+    opt.cap_onehot = onehot;
+    PnpTuner tuner(*db_, opt);
+    tuner.train_power_scenario(first_regions(6));
+    for (const int r : {-1, nr}) {
+      EXPECT_THROW(tuner.predict_power(r, 0), Error) << r;
+      EXPECT_TRUE(throws_out_of_range([&] { tuner.predict_power(r, 0); }));
+    }
+    for (const int k : {-1, nc}) {
+      EXPECT_THROW(tuner.predict_power(0, k), Error) << k;
+      EXPECT_TRUE(throws_out_of_range([&] { tuner.predict_power(0, k); }));
+    }
+    if (!onehot) {
+      for (const int r : {-1, nr}) {
+        EXPECT_THROW(tuner.predict_power_at(r, 60.0), Error) << r;
+        EXPECT_TRUE(
+            throws_out_of_range([&] { tuner.predict_power_at(r, 60.0); }));
+      }
+      EXPECT_NO_THROW(tuner.predict_power_at(nr - 1, 60.0));
+    }
+    EXPECT_NO_THROW(tuner.predict_power(nr - 1, nc - 1));
+  }
+  PnpTuner edp(*db_, opt);
+  edp.train_edp_scenario(first_regions(6));
+  for (const int r : {-1, nr}) {
+    EXPECT_THROW(edp.predict_edp(r), Error) << r;
+    EXPECT_TRUE(throws_out_of_range([&] { edp.predict_edp(r); }));
+  }
+  EXPECT_NO_THROW(edp.predict_edp(nr - 1));
 }
 
 TEST_F(PnpTunerTest, StateRoundTripsBetweenTuners) {
