@@ -1,5 +1,6 @@
 #include "nn/rgcn_net.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -25,6 +26,7 @@ RgcnNet::RgcnNet(RgcnNetConfig cfg) : cfg_(std::move(cfg)) {
   PNP_CHECK_MSG(cfg_.vocab_size > 0, "vocab_size must be set");
   PNP_CHECK_MSG(!cfg_.head_sizes.empty(), "head_sizes must be set");
   PNP_CHECK(cfg_.rgcn_layers >= 1 && cfg_.num_relations >= 1);
+  PNP_CHECK_MSG(cfg_.leaky_slope >= 0.0, "leaky_slope must be non-negative");
 
   Rng rng(cfg_.seed);
 
@@ -104,7 +106,6 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
   const auto nrel = static_cast<std::size_t>(cfg_.num_relations);
   cache.g = &g;
   cache.H.resize(static_cast<std::size_t>(L) + 1);
-  cache.Z.resize(static_cast<std::size_t>(L));
   cache.M.resize(static_cast<std::size_t>(L));
   if (cfg_.num_bases > 0) cache.relw.resize(static_cast<std::size_t>(L));
 
@@ -134,8 +135,9 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
     if (cfg_.num_bases > 0) cache.relw[li].resize(nrel);
 
     // Self-loop term with the bias folded into the kernel's C-tile init:
-    // Z = H·W₀ + b, relations then accumulate on top.
-    Matrix& z = cache.Z[li];
+    // Z = H·W₀ + b, relations then accumulate on top — in the buffer of
+    // the layer's output, activated in place below.
+    Matrix& z = cache.H[li + 1];
     z.resize(n, cfg_.hidden);
     gemm_bias(h, P(lp.w0).w, P(lp.bias).w.flat(), z);
 
@@ -173,10 +175,7 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
       if (active == 0) continue;
       gemm_acc_rows(mc, wr, z, csr.active_dst);
     }
-    Matrix& hn = cache.H[li + 1];
-    hn.resize(n, cfg_.hidden);
-    for (std::size_t k = 0; k < z.size(); ++k)
-      hn.data()[k] = leaky(z.data()[k], cfg_.leaky_slope);
+    for (double& v : z.flat()) v = leaky(v, cfg_.leaky_slope);
   }
 
   // Mean-pool readout over all nodes.
@@ -188,6 +187,45 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
       cache.readout[static_cast<std::size_t>(d)] += hi[d];
   }
   for (double& v : cache.readout) v /= static_cast<double>(n);
+}
+
+void RgcnNet::reserve(std::span<const graph::GraphTensors* const> graphs,
+                      GnnCache& cache, GnnGrads* grads) const {
+  int max_nodes = 0, max_active_any = 0;
+  std::vector<int> max_active(static_cast<std::size_t>(cfg_.num_relations), 0);
+  for (const graph::GraphTensors* g : graphs) {
+    max_nodes = std::max(max_nodes, g->num_nodes);
+    for (int r = 0; r < cfg_.num_relations; ++r) {
+      int& m = max_active[static_cast<std::size_t>(r)];
+      m = std::max(m, g->csr(r).num_active());
+      max_active_any = std::max(max_active_any, m);
+    }
+  }
+  // Matrix::resize never gives capacity back, so sizing every buffer to
+  // its largest shape once is enough.
+  const auto L = static_cast<std::size_t>(cfg_.rgcn_layers);
+  const auto nrel = static_cast<std::size_t>(cfg_.num_relations);
+  cache.H.resize(L + 1);
+  cache.M.resize(L);
+  if (cfg_.num_bases > 0) cache.relw.resize(L);
+  cache.H[0].resize(max_nodes, cfg_.emb_dim);
+  for (std::size_t l = 0; l < L; ++l) {
+    const int d_in = l == 0 ? cfg_.emb_dim : cfg_.hidden;
+    cache.H[l + 1].resize(max_nodes, cfg_.hidden);
+    cache.M[l].resize(nrel);
+    for (std::size_t r = 0; r < nrel; ++r)
+      cache.M[l][r].resize(max_active[r], d_in);
+    if (cfg_.num_bases > 0) {
+      cache.relw[l].resize(nrel);
+      for (Matrix& w : cache.relw[l]) w.resize(d_in, cfg_.hidden);
+    }
+  }
+  cache.readout.reserve(static_cast<std::size_t>(cfg_.hidden));
+  if (grads == nullptr) return;
+  grads->dz.resize(L);
+  for (Matrix& dz : grads->dz) dz.resize(max_nodes, cfg_.hidden);
+  grads->dh0.resize(max_nodes, cfg_.emb_dim);
+  grads->dmc.resize(max_active_any, std::max(cfg_.emb_dim, cfg_.hidden));
 }
 
 RgcnNet::DenseCache RgcnNet::dense_forward(std::span<const double> readout,
@@ -269,138 +307,118 @@ RgcnNet::DenseCache RgcnNet::forward(const graph::GraphTensors& g,
   return dense_forward(gc.readout, extra);
 }
 
-template <class GetGrad>
-std::vector<double> RgcnNet::dense_backward_impl(
-    const DenseCache& c, std::span<const double> dlogits, GetGrad&& G) const {
-  PNP_CHECK(static_cast<int>(dlogits.size()) == cfg_.total_logits());
+void RgcnNet::dense_input_grads(const DenseCache& c, DenseGrads& g) const {
+  PNP_CHECK(static_cast<int>(g.dlogits.size()) == cfg_.total_logits());
 
-  // d(out)/d(in) of a linear layer, accumulating weight/bias grads.
-  auto backward_linear = [&](const std::vector<double>& in,
-                             std::span<const double> dout, int w_idx,
-                             int b_idx) {
+  // d(loss)/d(in) of a linear layer: din[i] = Σ_j w[i][j]·dout[j], for
+  // the first din.size() inputs.
+  auto input_grad = [&](int w_idx, std::span<const double> dout,
+                        std::vector<double>& din) {
     const Matrix& w = P(w_idx).w;
-    Matrix& gw_m = G(w_idx);
-    Matrix& gb_m = G(b_idx);
-    for (int j = 0; j < w.cols(); ++j)
-      gb_m(0, j) += dout[static_cast<std::size_t>(j)];
-    std::vector<double> din(in.size(), 0.0);
-    for (int i = 0; i < w.rows(); ++i) {
-      const double vi = in[static_cast<std::size_t>(i)];
-      double* gw = gw_m.row(i);
-      const double* wi = w.row(i);
+    for (std::size_t i = 0; i < din.size(); ++i) {
+      const double* wi = w.row(static_cast<int>(i));
       double acc = 0.0;
-      for (int j = 0; j < w.cols(); ++j) {
-        gw[j] += vi * dout[static_cast<std::size_t>(j)];
+      for (int j = 0; j < w.cols(); ++j)
         acc += wi[j] * dout[static_cast<std::size_t>(j)];
-      }
-      din[static_cast<std::size_t>(i)] = acc;
+      din[i] = acc;
     }
-    return din;
   };
 
-  std::vector<double> da2 = backward_linear(c.a2, dlogits, w3_, b3_);
-  for (std::size_t i = 0; i < da2.size(); ++i) da2[i] *= relu_grad(c.z2[i]);
-  std::vector<double> da1 = backward_linear(c.a1, da2, w2_, b2_);
-  for (std::size_t i = 0; i < da1.size(); ++i) da1[i] *= relu_grad(c.z1[i]);
-  std::vector<double> du0 = backward_linear(c.u0, da1, w1_, b1_);
+  g.da2.resize(c.a2.size());
+  input_grad(w3_, g.dlogits, g.da2);
+  for (std::size_t i = 0; i < g.da2.size(); ++i) g.da2[i] *= relu_grad(c.z2[i]);
+  g.da1.resize(c.a1.size());
+  input_grad(w2_, g.da2, g.da1);
+  for (std::size_t i = 0; i < g.da1.size(); ++i) g.da1[i] *= relu_grad(c.z1[i]);
+  // Only the readout part of u0 feeds a trainable stage.
+  g.d_readout.resize(static_cast<std::size_t>(cfg_.hidden));
+  input_grad(w1_, g.da1, g.d_readout);
+}
 
-  // First cfg_.hidden entries of u0 are the readout.
-  return {du0.begin(), du0.begin() + cfg_.hidden};
+void RgcnNet::dense_param_grads(int layer, const DenseCache& c,
+                                const DenseGrads& g) {
+  PNP_CHECK(layer >= 0 && layer < kDenseLayers);
+  // Layer inputs and output gradients: u0 → z1, a1 → z2, a2 → logits.
+  const std::vector<double>& in = layer == 0 ? c.u0 : layer == 1 ? c.a1 : c.a2;
+  const std::vector<double>& dout =
+      layer == 0 ? g.da1 : layer == 1 ? g.da2 : g.dlogits;
+  Matrix& gw_m = P(layer == 0 ? w1_ : layer == 1 ? w2_ : w3_).g;
+  Matrix& gb_m = P(layer == 0 ? b1_ : layer == 1 ? b2_ : b3_).g;
+  PNP_CHECK(static_cast<int>(in.size()) == gw_m.rows() &&
+            static_cast<int>(dout.size()) == gw_m.cols());
+  for (int j = 0; j < gw_m.cols(); ++j)
+    gb_m(0, j) += dout[static_cast<std::size_t>(j)];
+  for (int i = 0; i < gw_m.rows(); ++i) {
+    const double vi = in[static_cast<std::size_t>(i)];
+    double* gw = gw_m.row(i);
+    for (int j = 0; j < gw_m.cols(); ++j)
+      gw[j] += vi * dout[static_cast<std::size_t>(j)];
+  }
 }
 
 std::vector<double> RgcnNet::dense_backward(const DenseCache& c,
                                             std::span<const double> dlogits) {
-  return dense_backward_impl(
-      c, dlogits, [this](int idx) -> Matrix& { return P(idx).g; });
+  DenseGrads g;
+  g.dlogits.assign(dlogits.begin(), dlogits.end());
+  dense_input_grads(c, g);
+  for (int layer = 0; layer < kDenseLayers; ++layer)
+    dense_param_grads(layer, c, g);
+  return std::move(g.d_readout);
 }
 
-std::vector<double> RgcnNet::dense_backward_into(
-    const DenseCache& c, std::span<const double> dlogits,
-    GradBuffer& grads) const {
-  PNP_CHECK(grads.size() == params_.size());
-  return dense_backward_impl(c, dlogits, [&grads](int idx) -> Matrix& {
-    return grads[static_cast<std::size_t>(idx)];
-  });
-}
-
-template <class GetGrad>
-void RgcnNet::gnn_backward_impl(const GnnCache& cache,
-                                std::span<const double> d_readout,
-                                BackwardWs& ws, GetGrad&& G) const {
-  if (gnn_frozen_) return;
+void RgcnNet::gnn_input_grads(const GnnCache& cache,
+                              std::span<const double> d_readout,
+                              GnnGrads& gg) const {
   PNP_CHECK(cache.g != nullptr);
   PNP_CHECK(static_cast<int>(d_readout.size()) == cfg_.hidden);
   const graph::GraphTensors& g = *cache.g;
   const int n = g.num_nodes;
+  const int L = cfg_.rgcn_layers;
+  gg.dz.resize(static_cast<std::size_t>(L));
 
-  // Readout backward: every node receives d_readout / n.
-  Matrix* dh = &ws.dh;
-  Matrix* dh_prev = &ws.dh_prev;
-  dh->resize(n, cfg_.hidden);
+  // Readout backward: every node receives d_readout / n. Each layer's
+  // d(loss)/dH lands in the buffer of its dz and is gated in place.
+  Matrix& top = gg.dz[static_cast<std::size_t>(L - 1)];
+  top.resize(n, cfg_.hidden);
   for (int i = 0; i < n; ++i) {
-    double* di = dh->row(i);
+    double* di = top.row(i);
     for (int d = 0; d < cfg_.hidden; ++d)
       di[d] = d_readout[static_cast<std::size_t>(d)] / static_cast<double>(n);
   }
 
-  for (int l = cfg_.rgcn_layers - 1; l >= 0; --l) {
+  for (int l = L - 1; l >= 0; --l) {
     const auto li = static_cast<std::size_t>(l);
     const LayerParams& lp = layers_[li];
-    const Matrix& z = cache.Z[li];
-    const Matrix& h_in = cache.H[li];
-    const auto& ms = cache.M[li];
-    const int d_in = h_in.cols();
+    const Matrix& act = cache.H[li + 1];
+    const int d_in = cache.H[li].cols();
 
-    // Through the activation.
-    Matrix& dz = ws.dz;
-    dz.resize(n, cfg_.hidden);
-    for (std::size_t k = 0; k < z.size(); ++k)
-      dz.data()[k] = dh->data()[k] * leaky_grad(z.data()[k], cfg_.leaky_slope);
+    // Through the activation (its output has the sign of its input).
+    Matrix& dz = gg.dz[li];
+    for (std::size_t k = 0; k < act.size(); ++k)
+      dz.data()[k] *= leaky_grad(act.data()[k], cfg_.leaky_slope);
 
-    // Bias and self-weight.
-    colsum_acc(dz, G(lp.bias).flat());
-    gemm_tn_acc(h_in, dz, G(lp.w0));
-
-    dh_prev->resize(n, d_in);
-    gemm_nt(dz, P(lp.w0).w, *dh_prev);
+    // d(loss)/dH_l: the self-weight term, then every relation's.
+    Matrix& dh_prev = l > 0 ? gg.dz[li - 1] : gg.dh0;
+    dh_prev.resize(n, d_in);
+    gemm_nt(dz, P(lp.w0).w, dh_prev);
 
     for (int r = 0; r < cfg_.num_relations; ++r) {
       const auto ri = static_cast<std::size_t>(r);
       const graph::RelationCsr& csr = g.csr(r);
       const int active = csr.num_active();
-      const Matrix& mc = ms[ri];
-      PNP_CHECK_MSG(mc.rows() == active,
+      PNP_CHECK_MSG(cache.M[li][ri].rows() == active,
                     "stale GnnCache: graph edges changed since encode");
-
-      // All relation kernels run on compressed rows, reading/writing dz at
-      // the relation's active targets through the row maps directly — no
-      // gathered copies.
-      const Matrix* wr = nullptr;
-      if (cfg_.num_bases == 0) {
-        gemm_tn_acc_rows(mc, dz, csr.active_dst, G(lp.wr[ri]));
-        wr = &P(lp.wr[ri]).w;
-      } else {
-        // Basis mode: G_r = M_rᵀ·dz feeds both coef and basis grads; the
-        // combined W_r was computed at encode time and shared here.
-        Matrix& gr = ws.gr;
-        gr.resize(d_in, cfg_.hidden);
-        gr.zero();
-        gemm_tn_acc_rows(mc, dz, csr.active_dst, gr);
-        Matrix& coef_g = G(lp.coef);
-        for (int b = 0; b < cfg_.num_bases; ++b) {
-          const auto bi = static_cast<std::size_t>(b);
-          coef_g(r, b) += frob_inner(gr, P(lp.basis[bi]).w);
-          G(lp.basis[bi]).add_scaled(gr, P(lp.coef).w(r, b));
-        }
-        wr = &cache.relw[li][ri];
-      }
       if (active == 0) continue;
+      // In basis mode the combined W_r was computed at encode time.
+      const Matrix& wr =
+          cfg_.num_bases == 0 ? P(lp.wr[ri]).w : cache.relw[li][ri];
 
-      // dM_r = dz·W_rᵀ on compressed rows, then scatter back through the
-      // normalized aggregation: dH[s] += (1/c_{t,r})·dM_r[t].
-      Matrix& dmc = ws.dmc;
+      // dM_r = dz·W_rᵀ on compressed rows (dz read at the relation's
+      // active targets through the row map), then scatter back through
+      // the normalized aggregation: dH[s] += (1/c_{t,r})·dM_r[t].
+      Matrix& dmc = gg.dmc;
       dmc.resize(active, d_in);
-      gemm_nt_rows(dz, csr.active_dst, *wr, dmc);
+      gemm_nt_rows(dz, csr.active_dst, wr, dmc);
       for (int idx = 0; idx < active; ++idx) {
         const auto dst = static_cast<std::size_t>(
             csr.active_dst[static_cast<std::size_t>(idx)]);
@@ -410,57 +428,87 @@ void RgcnNet::gnn_backward_impl(const GnnCache& cache,
         const int b0 = csr.row_offset[dst];
         const int b1 = csr.row_offset[dst + 1];
         for (int e = b0; e < b1; ++e) {
-          double* dhs = dh_prev->row(csr.src[static_cast<std::size_t>(e)]);
+          double* dhs = dh_prev.row(csr.src[static_cast<std::size_t>(e)]);
           for (int d = 0; d < d_in; ++d) dhs[d] += dmt[d];
         }
       }
     }
-    std::swap(dh, dh_prev);
   }
+}
 
-  // Embedding backward: scatter rows into the two tables.
-  Matrix& gt_m = G(emb_token_);
-  Matrix& gk_m = G(emb_kind_);
-  for (int i = 0; i < n; ++i) {
-    const int tok = g.token[static_cast<std::size_t>(i)];
-    const int kind = g.kind[static_cast<std::size_t>(i)];
-    const double* di = dh->row(i);
-    double* gt = gt_m.row(tok);
-    double* gk = gk_m.row(kind);
-    for (int d = 0; d < cfg_.emb_dim; ++d) {
-      gt[d] += di[d];
-      gk[d] += di[d];
+int RgcnNet::num_gnn_grad_tasks() const {
+  const int per_layer = cfg_.num_bases > 0 ? 1 : cfg_.num_relations;
+  return cfg_.rgcn_layers * (2 + per_layer) + 2;
+}
+
+void RgcnNet::gnn_param_grads(int task, const GnnCache& cache,
+                              const GnnGrads& gg, Matrix& scratch) {
+  const int L = cfg_.rgcn_layers;
+  PNP_CHECK(task >= 0 && task < num_gnn_grad_tasks());
+  PNP_CHECK(cache.g != nullptr &&
+            gg.dz.size() == static_cast<std::size_t>(L));
+  const graph::GraphTensors& g = *cache.g;
+
+  // Tasks: L self weights, then the relation tasks, L biases, 2 tables.
+  if (task < L) {
+    const auto li = static_cast<std::size_t>(task);
+    gemm_tn_acc(cache.H[li], gg.dz[li], P(layers_[li].w0).g);
+    return;
+  }
+  task -= L;
+  const int rel_tasks =
+      L * (cfg_.num_bases > 0 ? 1 : cfg_.num_relations);
+  if (task < rel_tasks && cfg_.num_bases == 0) {
+    const auto li = static_cast<std::size_t>(task / cfg_.num_relations);
+    const int r = task % cfg_.num_relations;
+    const auto ri = static_cast<std::size_t>(r);
+    gemm_tn_acc_rows(cache.M[li][ri], gg.dz[li], g.csr(r).active_dst,
+                     P(layers_[li].wr[ri]).g);
+    return;
+  }
+  if (task < rel_tasks) {
+    // Basis mode, one layer: G_r = M_rᵀ·dz feeds both the coefficient
+    // and the basis gradients of every relation in turn.
+    const auto li = static_cast<std::size_t>(task);
+    const LayerParams& lp = layers_[li];
+    const Matrix& dz = gg.dz[li];
+    Matrix& coef_g = P(lp.coef).g;
+    for (int r = 0; r < cfg_.num_relations; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      scratch.resize(cache.H[li].cols(), cfg_.hidden);
+      scratch.zero();
+      gemm_tn_acc_rows(cache.M[li][ri], dz, g.csr(r).active_dst, scratch);
+      for (int b = 0; b < cfg_.num_bases; ++b) {
+        const auto bi = static_cast<std::size_t>(b);
+        coef_g(r, b) += frob_inner(scratch, P(lp.basis[bi]).w);
+        P(lp.basis[bi]).g.add_scaled(scratch, P(lp.coef).w(r, b));
+      }
     }
+    return;
+  }
+  task -= rel_tasks;
+  if (task < L) {
+    const auto li = static_cast<std::size_t>(task);
+    colsum_acc(gg.dz[li], P(layers_[li].bias).g.flat());
+    return;
+  }
+  // Embedding backward: scatter dH_0's rows into one of the two tables.
+  const bool token = task == L;
+  Matrix& gm = P(token ? emb_token_ : emb_kind_).g;
+  for (int i = 0; i < g.num_nodes; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const double* di = gg.dh0.row(i);
+    double* gr = gm.row(token ? g.token[ii] : g.kind[ii]);
+    for (int d = 0; d < cfg_.emb_dim; ++d) gr[d] += di[d];
   }
 }
 
 void RgcnNet::gnn_backward(const GnnCache& cache,
                            std::span<const double> d_readout) {
-  gnn_backward_impl(cache, d_readout, bws_,
-                    [this](int idx) -> Matrix& { return P(idx).g; });
-}
-
-void RgcnNet::gnn_backward_into(const GnnCache& cache,
-                                std::span<const double> d_readout,
-                                GradBuffer& grads, BackwardWs& ws) const {
-  PNP_CHECK(grads.size() == params_.size());
-  gnn_backward_impl(cache, d_readout, ws, [&grads](int idx) -> Matrix& {
-    return grads[static_cast<std::size_t>(idx)];
-  });
-}
-
-RgcnNet::GradBuffer RgcnNet::make_grad_buffer() const {
-  GradBuffer gb;
-  gb.reserve(params_.size());
-  for (const auto& p : params_)
-    gb.push_back(Matrix::zeros(p->w.rows(), p->w.cols()));
-  return gb;
-}
-
-void RgcnNet::add_grad_buffer(const GradBuffer& gb) {
-  PNP_CHECK(gb.size() == params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i]->g.add_scaled(gb[i], 1.0);
+  if (gnn_frozen_) return;
+  gnn_input_grads(cache, d_readout, gnn_grads_);
+  for (int t = 0; t < num_gnn_grad_tasks(); ++t)
+    gnn_param_grads(t, cache, gnn_grads_, gnn_scratch_);
 }
 
 std::span<const double> RgcnNet::head_logits(const DenseCache& cache,

@@ -43,7 +43,7 @@ struct RgcnNetConfig {
   int extra_features = 0;       ///< appended to the readout vector
   int num_relations = graph::kNumModelRelations;
   int num_bases = 0;  ///< 0 = full per-relation weights, >0 = basis decomp
-  double leaky_slope = 0.01;
+  double leaky_slope = 0.01;  ///< must be ≥ 0
   std::uint64_t seed = 42;
 
   int total_logits() const {
@@ -63,9 +63,10 @@ class RgcnNet {
   struct GnnCache {
     const graph::GraphTensors* g = nullptr;
     /// H[0] = embedding output … H[L] = final node features (all N×d).
+    /// Layer l's pre-activation Z_l is built in H[l+1]'s buffer and
+    /// activated in place; with a non-negative slope H[l+1] > 0 exactly
+    /// where Z_l > 0, which is all the backward pass needs of Z_l.
     std::vector<Matrix> H;
-    /// Pre-activation of each layer (Z[l] for layer l, 0-based).
-    std::vector<Matrix> Z;
     /// Per-layer, per-relation normalized aggregates in CSR-compressed
     /// form: row i of M[l][r] is Â_r·H for the i-th *active* target of
     /// relation r (see graph::RelationCsr::active_dst) — zero rows are
@@ -91,21 +92,22 @@ class RgcnNet {
     std::vector<double> logits;  ///< concatenated head logits
   };
 
-  /// Scratch matrices for one GNN backward pass; reused across calls so
-  /// steady-state training allocates nothing.
-  struct BackwardWs {
-    Matrix dh, dh_prev;  ///< d(loss)/dH flowing down the layers
-    Matrix dz;           ///< activation-gradient of the current layer
-    Matrix dmc;          ///< d(loss)/dM_r, compressed rows
-    Matrix gr;           ///< basis mode: M_rᵀ·dz shared by coef/basis grads
+  /// Input gradients of one member's dense backward pass: phase A of the
+  /// two-phase backward (see dense_backward()).
+  struct DenseGrads {
+    std::vector<double> dlogits;    ///< input: d(loss)/d(logits)
+    std::vector<double> da2, da1;   ///< d(loss)/dz2, d(loss)/dz1
+    std::vector<double> d_readout;  ///< d(loss)/d(readout)
   };
 
-  /// One gradient matrix per parameter (index-parallel to params()) —
-  /// the per-thread accumulation target of the parallel trainer.
-  using GradBuffer = std::vector<Matrix>;
-  GradBuffer make_grad_buffer() const;
-  /// params[i].g += gb[i] for all parameters.
-  void add_grad_buffer(const GradBuffer& gb);
+  /// Input gradients of one graph's GNN backward pass (phase A of the
+  /// two-phase backward, see gnn_backward()); reused across calls so
+  /// steady-state training allocates nothing.
+  struct GnnGrads {
+    std::vector<Matrix> dz;  ///< d(loss)/dZ_l of each layer (N×hidden)
+    Matrix dh0;              ///< d(loss)/dH_0, the embedding output
+    Matrix dmc;              ///< scratch: d(loss)/dM_r, compressed rows
+  };
 
   /// Run the GNN over one graph (no gradient effects).
   GnnCache encode(const graph::GraphTensors& g) const;
@@ -115,6 +117,13 @@ class RgcnNet {
   /// with distinct caches, provided the graph's CSR form has been built
   /// (graph::GraphTensors::finalize()).
   void encode_into(const graph::GraphTensors& g, GnnCache& cache) const;
+
+  /// Grows `cache` (and `grads`, when set) to fit the largest of `graphs`
+  /// buffer by buffer, so that encode_into() and gnn_input_grads() on any
+  /// of them allocate nothing afterwards — so a trainer can size its
+  /// per-sample buffers up front and its pool workers never allocate.
+  void reserve(std::span<const graph::GraphTensors* const> graphs,
+               GnnCache& cache, GnnGrads* grads) const;
 
   /// Run the dense classifier on a readout (+ extra features).
   DenseCache dense_forward(std::span<const double> readout,
@@ -157,25 +166,52 @@ class RgcnNet {
   DenseCache forward(const graph::GraphTensors& g,
                      std::span<const double> extra) const;
 
-  /// Accumulate dense-layer gradients for d(loss)/d(logits); returns
-  /// d(loss)/d(readout) for the caller to feed into gnn_backward.
+  // Backward passes run in two phases, so that a trainer can spread one
+  // mini-batch over several threads and still add every gradient element
+  // up in the same order as a one-thread loop over the batch:
+  //
+  //  A. per sample, input gradients only (dense_input_grads,
+  //     gnn_input_grads) — const, nothing is written to Param::g;
+  //  B. per gradient tensor, the parameter gradients (dense_param_grads,
+  //     gnn_param_grads) — each call adds to its own tensors only, so
+  //     distinct layers / task indices may run concurrently, and calling
+  //     one of them for the samples in batch order reproduces the adds of
+  //     dense_backward()/gnn_backward() over that batch exactly.
+
+  /// Phase A of the dense backward: fills g.da2, g.da1 and g.d_readout
+  /// from g.dlogits and the forward cache.
+  void dense_input_grads(const DenseCache& cache, DenseGrads& g) const;
+
+  /// Phase B of the dense backward: accumulates dense layer `layer`'s
+  /// weight and bias gradients (layer in [0, kDenseLayers), 0 = first).
+  static constexpr int kDenseLayers = 3;
+  void dense_param_grads(int layer, const DenseCache& cache,
+                         const DenseGrads& g);
+
+  /// Phase A of the GNN backward for d(loss)/d(readout). The cache must
+  /// come from encode_into() with the current weights.
+  void gnn_input_grads(const GnnCache& cache,
+                       std::span<const double> d_readout, GnnGrads& g) const;
+
+  /// Phase B work items of the GNN backward: one per layer bias, per layer
+  /// self weight, per (layer, relation) weight — or, with num_bases > 0,
+  /// one per layer for its coefficients and bases — and one per embedding
+  /// table. Largest tasks come first.
+  int num_gnn_grad_tasks() const;
+  /// Accumulates the gradient tensors of phase-B task `task`. `scratch` is
+  /// a caller-owned matrix (basis mode's per-relation M_rᵀ·dz).
+  void gnn_param_grads(int task, const GnnCache& cache, const GnnGrads& g,
+                       Matrix& scratch);
+
+  /// One-sample backward of the dense stage: both phases for
+  /// d(loss)/d(logits), accumulating into the parameters' gradients;
+  /// returns d(loss)/d(readout) for the caller to feed into gnn_backward.
   std::vector<double> dense_backward(const DenseCache& cache,
                                      std::span<const double> dlogits);
 
-  /// As dense_backward(), but accumulating into `grads` instead of the
-  /// parameters' own gradients (thread-safe with distinct buffers).
-  std::vector<double> dense_backward_into(const DenseCache& cache,
-                                          std::span<const double> dlogits,
-                                          GradBuffer& grads) const;
-
-  /// Accumulate GNN gradients for d(loss)/d(readout).
+  /// One-sample backward of the GNN stage (both phases) for
+  /// d(loss)/d(readout); a no-op while the GNN stage is frozen.
   void gnn_backward(const GnnCache& cache, std::span<const double> d_readout);
-
-  /// As gnn_backward(), but accumulating into `grads` with caller-owned
-  /// scratch (thread-safe with distinct buffers/workspaces).
-  void gnn_backward_into(const GnnCache& cache,
-                         std::span<const double> d_readout, GradBuffer& grads,
-                         BackwardWs& ws) const;
 
   /// View of one head's logits inside a DenseCache.
   std::span<const double> head_logits(const DenseCache& cache, int head) const;
@@ -226,15 +262,6 @@ class RgcnNet {
   const Matrix& relation_weight(const LayerParams& lp, int relation,
                                 Matrix& scratch) const;
 
-  template <class GetGrad>
-  std::vector<double> dense_backward_impl(const DenseCache& cache,
-                                          std::span<const double> dlogits,
-                                          GetGrad&& G) const;
-  template <class GetGrad>
-  void gnn_backward_impl(const GnnCache& cache,
-                         std::span<const double> d_readout, BackwardWs& ws,
-                         GetGrad&& G) const;
-
   RgcnNetConfig cfg_;
   std::vector<std::unique_ptr<Param>> params_;
   std::vector<bool> is_gnn_param_;
@@ -246,8 +273,9 @@ class RgcnNet {
   int w1_ = -1, b1_ = -1, w2_ = -1, b2_ = -1, w3_ = -1, b3_ = -1;
   std::vector<int> head_offset_;
 
-  /// Default backward scratch for the sequential gnn_backward() overload.
-  BackwardWs bws_;
+  /// Scratch of the one-sample gnn_backward().
+  GnnGrads gnn_grads_;
+  Matrix gnn_scratch_;
 };
 
 }  // namespace pnp::nn

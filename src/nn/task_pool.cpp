@@ -1,0 +1,102 @@
+#include "nn/task_pool.hpp"
+
+#include <sched.h>
+
+#ifdef PNP_PARALLEL
+#include <omp.h>
+#endif
+
+namespace pnp::nn {
+
+int affinity_cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  const int n = CPU_COUNT(&set);
+  return n > 0 ? n : 1;
+}
+
+TaskPool::TaskPool(int threads) {
+  for (int slot = 1; slot < threads; ++slot)
+    workers_.emplace_back([this, slot] { worker_loop(slot); });
+}
+
+TaskPool::~TaskPool() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
+  }
+  wake_cv_.notify_all();
+  for (std::thread& w : workers_) w.join();
+}
+
+void TaskPool::run(int n, const std::function<void(int, int)>& fn) {
+  if (workers_.empty() || n <= 1) {
+    for (int i = 0; i < n; ++i) fn(i, 0);
+    return;
+  }
+#ifdef PNP_PARALLEL
+  // The pool already occupies the cores: keep the row-parallel GEMMs the
+  // tasks call from opening a nested OpenMP team on the calling thread
+  // (workers set the same in worker_loop). Results do not depend on it.
+  struct OmpSerial {
+    int saved = omp_get_max_threads();
+    OmpSerial() { omp_set_num_threads(1); }
+    ~OmpSerial() { omp_set_num_threads(saved); }
+  } omp_serial;
+#endif
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    fn_ = &fn;
+    n_ = n;
+    next_.store(0, std::memory_order_relaxed);
+    error_ = nullptr;
+    busy_ = static_cast<int>(workers_.size());
+    ++generation_;
+  }
+  wake_cv_.notify_all();
+  work(0);
+  std::exception_ptr err;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [this] { return busy_ == 0; });
+    fn_ = nullptr;
+    err = error_;
+    error_ = nullptr;
+  }
+  if (err) std::rethrow_exception(err);
+}
+
+void TaskPool::work(int slot) {
+  for (;;) {
+    const int i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n_) return;
+    try {
+      (*fn_)(i, slot);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!error_) error_ = std::current_exception();
+      next_.store(n_, std::memory_order_relaxed);
+    }
+  }
+}
+
+void TaskPool::worker_loop(int slot) {
+#ifdef PNP_PARALLEL
+  omp_set_num_threads(1);
+#endif
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+    }
+    work(slot);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--busy_ == 0) done_cv_.notify_one();
+  }
+}
+
+}  // namespace pnp::nn

@@ -1,0 +1,62 @@
+#pragma once
+
+/// \file task_pool.hpp
+/// A small fixed-size std::thread pool for index-parallel loops — the
+/// trainer's two backward phases and its per-graph encodes run on one.
+/// The calling thread takes part in every loop, and the workers live
+/// exactly as long as the pool (its destructor joins them).
+
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+namespace pnp::nn {
+
+/// Number of CPUs in the calling thread's affinity mask (at least 1).
+/// Unlike std::thread::hardware_concurrency(), this honours `taskset` and
+/// cgroup cpusets, so a pinned process does not oversubscribe its cores.
+int affinity_cpu_count();
+
+class TaskPool {
+ public:
+  /// `threads` counts the calling thread: threads - 1 workers are started
+  /// (none for threads <= 1, and then run() is a plain loop).
+  explicit TaskPool(int threads);
+  ~TaskPool();
+  TaskPool(const TaskPool&) = delete;
+  TaskPool& operator=(const TaskPool&) = delete;
+
+  /// Threads taking part in a loop, the caller included.
+  int size() const { return static_cast<int>(workers_.size()) + 1; }
+
+  /// Call fn(i, slot) once for every i in [0, n), in no particular order
+  /// and on any thread. `slot` in [0, size()) names the executing thread:
+  /// two calls with the same slot never overlap, so per-slot scratch needs
+  /// no locking. Returns after every call has returned. If a call throws,
+  /// indices not yet started are skipped and the first exception is
+  /// rethrown here.
+  void run(int n, const std::function<void(int, int)>& fn);
+
+ private:
+  void worker_loop(int slot);
+  void work(int slot);
+
+  std::vector<std::thread> workers_;
+  std::mutex mu_;
+  std::condition_variable wake_cv_, done_cv_;
+  // The current loop; written under mu_ before a generation starts.
+  const std::function<void(int, int)>* fn_ = nullptr;
+  int n_ = 0;
+  std::atomic<int> next_{0};
+  std::exception_ptr error_;
+  int busy_ = 0;  ///< workers not yet finished with the current loop
+  std::uint64_t generation_ = 0;
+  bool stop_ = false;
+};
+
+}  // namespace pnp::nn

@@ -1,8 +1,8 @@
 #include "nn/trainer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <unordered_map>
 
 #ifdef PNP_PARALLEL
@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "nn/loss.hpp"
+#include "nn/task_pool.hpp"
 
 namespace pnp::nn {
 
@@ -22,55 +23,131 @@ void scale_grads(RgcnNet& net, double s) {
     for (double& g : p->g.flat()) g *= s;
 }
 
-/// Reusable per-worker state: forward/backward workspaces plus the small
-/// per-member scratch vectors, so the hot GNN passes allocate nothing in
-/// steady state (the tiny dense-layer backward still makes a few
-/// ≤32-element vector allocations per member).
-struct SampleCtx {
-  RgcnNet::GnnCache gc;
+/// TrainerConfig::threads → pool size. Inside an enclosing OpenMP region
+/// (concurrent LOOCV folds) the cores are already taken: one thread.
+int resolve_threads(int requested) {
+#ifdef PNP_PARALLEL
+  if (omp_in_parallel()) return 1;
+#endif
+  return requested > 0 ? requested : affinity_cpu_count();
+}
+
+/// One member's dense pass and its input gradients.
+struct MemberSlot {
   RgcnNet::DenseCache dc;
-  RgcnNet::BackwardWs ws;
-  std::vector<double> d_readout;
-  std::vector<double> dlogits;
+  RgcnNet::DenseGrads dg;
 };
 
-/// Forward + backward of one sample group; returns summed member loss.
-/// Gradients go into `grads` when set (the parallel per-thread path, which
-/// only calls const members of `net`), or straight into the net otherwise.
-double sample_backward(RgcnNet& net, const TrainSample& s,
-                       const RgcnNet::GnnCache& gc, SampleCtx& ctx,
-                       RgcnNet::GradBuffer* grads) {
-  const int hidden = net.config().hidden;
-  ctx.d_readout.assign(static_cast<std::size_t>(hidden), 0.0);
+/// What one sample of a batch carries from phase A to phase B. Slots are
+/// indexed by batch position and reused from batch to batch (and as the
+/// encode workspaces of GraphReadouts), so steady-state training
+/// allocates nothing.
+struct SampleSlot {
+  RgcnNet::GnnCache gc;  ///< this sample's encode (unused when frozen)
+  RgcnNet::GnnGrads gg;
+  std::vector<MemberSlot> members;
+  std::vector<double> d_readout;
   double loss = 0.0;
-  for (const SampleMember& m : s.members) {
-    net.dense_forward_into(gc.readout, m.extra, ctx.dc);
-    ctx.dlogits.assign(ctx.dc.logits.size(), 0.0);
-    PNP_CHECK(m.labels.size() == net.config().head_sizes.size());
+};
+
+/// The readouts of the distinct graphs of a sample set, encoded on the
+/// pool into preallocated storage.
+class GraphReadouts {
+ public:
+  /// `workspace(slot)` is the encode workspace of pool slot `slot`.
+  template <class Workspace>
+  void build(const RgcnNet& net, std::span<const TrainSample> samples,
+             TaskPool& pool, Workspace&& workspace) {
+    index_.clear();
+    graphs_.clear();
+    for (const TrainSample& s : samples) {
+      PNP_CHECK(s.graph != nullptr);
+      if (index_.try_emplace(s.graph, graphs_.size()).second)
+        graphs_.push_back(s.graph);
+    }
+    hidden_ = static_cast<std::size_t>(net.config().hidden);
+    flat_.resize(graphs_.size() * hidden_);
+    pool.run(static_cast<int>(graphs_.size()), [&](int i, int slot) {
+      RgcnNet::GnnCache& ws = workspace(slot);
+      const auto gi = static_cast<std::size_t>(i);
+      net.encode_into(*graphs_[gi], ws);
+      std::copy(ws.readout.begin(), ws.readout.end(),
+                flat_.begin() + static_cast<std::ptrdiff_t>(gi * hidden_));
+    });
+  }
+
+  std::span<const double> of(const graph::GraphTensors* g) const {
+    return std::span<const double>(flat_).subspan(index_.at(g) * hidden_,
+                                                  hidden_);
+  }
+
+ private:
+  std::unordered_map<const graph::GraphTensors*, std::size_t> index_;
+  std::vector<const graph::GraphTensors*> graphs_;
+  std::vector<double> flat_;
+  std::size_t hidden_ = 0;
+};
+
+/// Exact-match accuracy over `samples` given their graphs' readouts.
+double accuracy(const RgcnNet& net, std::span<const TrainSample> samples,
+                const GraphReadouts& readouts) {
+  std::size_t correct = 0, total = 0;
+  RgcnNet::DenseCache dc;
+  for (const TrainSample& s : samples) {
+    for (const SampleMember& m : s.members) {
+      net.dense_forward_into(readouts.of(s.graph), m.extra, dc);
+      bool all = true;
+      for (std::size_t h = 0; h < m.labels.size(); ++h) {
+        const auto logits = net.head_logits(dc, static_cast<int>(h));
+        if (argmax_index(logits) != m.labels[h]) {
+          all = false;
+          break;
+        }
+      }
+      correct += all ? 1 : 0;
+      ++total;
+    }
+  }
+  return total == 0 ? 0.0 : static_cast<double>(correct) /
+                                static_cast<double>(total);
+}
+
+/// Phase A for one sample: dense passes, loss and every input gradient,
+/// written to `slot` only. Sums the member losses in member and head
+/// order, as the one-thread loop always has.
+void sample_input_grads(const RgcnNet& net, const TrainSample& s,
+                        std::span<const double> readout, SampleSlot& slot) {
+  const RgcnNetConfig& cfg = net.config();
+  if (slot.members.size() < s.members.size())
+    slot.members.resize(s.members.size());
+  slot.d_readout.assign(static_cast<std::size_t>(cfg.hidden), 0.0);
+  double loss = 0.0;
+  for (std::size_t k = 0; k < s.members.size(); ++k) {
+    const SampleMember& m = s.members[k];
+    MemberSlot& ms = slot.members[k];
+    net.dense_forward_into(readout, m.extra, ms.dc);
+    ms.dg.dlogits.assign(ms.dc.logits.size(), 0.0);
+    PNP_CHECK(m.labels.size() == cfg.head_sizes.size());
     int off = 0;
     for (std::size_t h = 0; h < m.labels.size(); ++h) {
-      const int len = net.config().head_sizes[h];
+      const int len = cfg.head_sizes[h];
       loss += softmax_cross_entropy(
-          std::span<const double>(ctx.dc.logits)
+          std::span<const double>(ms.dc.logits)
               .subspan(static_cast<std::size_t>(off),
                        static_cast<std::size_t>(len)),
           m.labels[h],
-          std::span<double>(ctx.dlogits)
+          std::span<double>(ms.dg.dlogits)
               .subspan(static_cast<std::size_t>(off),
                        static_cast<std::size_t>(len)));
       off += len;
     }
-    const auto dr = grads
-                        ? net.dense_backward_into(ctx.dc, ctx.dlogits, *grads)
-                        : net.dense_backward(ctx.dc, ctx.dlogits);
-    for (std::size_t d = 0; d < ctx.d_readout.size(); ++d)
-      ctx.d_readout[d] += dr[d];
+    net.dense_input_grads(ms.dc, ms.dg);
+    for (std::size_t d = 0; d < slot.d_readout.size(); ++d)
+      slot.d_readout[d] += ms.dg.d_readout[d];
   }
-  if (grads)
-    net.gnn_backward_into(gc, ctx.d_readout, *grads, ctx.ws);
-  else
-    net.gnn_backward(gc, ctx.d_readout);
-  return loss;
+  slot.loss = loss;
+  if (!net.gnn_frozen())
+    net.gnn_input_grads(slot.gc, slot.d_readout, slot.gg);
 }
 
 }  // namespace
@@ -82,40 +159,40 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Validate up front and make sure every graph's CSR form exists before
-  // any parallel region touches it (lazy builds are not thread-safe).
+  // any worker touches it (lazy builds are not thread-safe).
   for (const TrainSample& s : samples) {
     PNP_CHECK(s.graph != nullptr && !s.members.empty());
     s.graph->finalize();
   }
 
-  // Frozen-GNN encode cache (keyed by graph pointer), filled once up front
-  // so epochs only do (cheap) dense passes and threads share it read-only.
-  std::unordered_map<const graph::GraphTensors*, RgcnNet::GnnCache>
-      frozen_cache;
-  if (net.gnn_frozen()) {
-    for (const TrainSample& s : samples) {
-      auto [it, inserted] = frozen_cache.try_emplace(s.graph);
-      if (inserted) net.encode_into(*s.graph, it->second);
-    }
-  }
+  const bool frozen = net.gnn_frozen();
+  TaskPool pool(resolve_threads(cfg.threads));
+  std::vector<Matrix> scratch(static_cast<std::size_t>(pool.size()));
 
-#ifdef PNP_PARALLEL
-  // Inside an active parallel region (e.g. concurrent LOOCV folds) a
-  // nested omp-for would get a team of one — keep the sequential path and
-  // skip the per-thread buffers there.
-  const int num_workers = omp_in_parallel() ? 1 : omp_get_max_threads();
-#else
-  const int num_workers = 1;
-#endif
-  std::vector<SampleCtx> ctx(static_cast<std::size_t>(num_workers));
-  // Parallel mode: per-thread gradient buffers, reduced in fixed thread
-  // order after each batch. With OpenMP's static schedule the sample →
-  // thread assignment is deterministic, so training is bit-reproducible
-  // run to run for a given thread count.
-  std::vector<RgcnNet::GradBuffer> thread_grads;
-  if (num_workers > 1)
-    for (int t = 0; t < num_workers; ++t)
-      thread_grads.push_back(net.make_grad_buffer());
+  // Slots are sized for the largest graph here, on the calling thread, so
+  // the workers never allocate them (and never spread them over their own
+  // malloc arenas). The first pool.size() slots double as the workers'
+  // encode workspaces; a frozen GNN needs no other GNN buffers.
+  std::vector<const graph::GraphTensors*> graphs;
+  for (const TrainSample& s : samples) graphs.push_back(s.graph);
+  std::vector<SampleSlot> slots;
+  auto grow_slots = [&](std::size_t n) {
+    while (slots.size() < n) {
+      const bool encodes =
+          !frozen || slots.size() < static_cast<std::size_t>(pool.size());
+      SampleSlot& slot = slots.emplace_back();
+      if (encodes) net.reserve(graphs, slot.gc, frozen ? nullptr : &slot.gg);
+    }
+  };
+  grow_slots(static_cast<std::size_t>(pool.size()));
+  auto workspace = [&slots](int slot) -> RgcnNet::GnnCache& {
+    return slots[static_cast<std::size_t>(slot)].gc;
+  };
+
+  // Frozen GNN: the readouts never change, so encode each graph once up
+  // front and run only the dense passes per epoch.
+  GraphReadouts readouts;
+  if (frozen) readouts.build(net, samples, pool, workspace);
 
   Rng rng(cfg.seed);
   std::vector<std::size_t> order(samples.size());
@@ -128,58 +205,44 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
   int stale = 0;
 
   std::vector<const TrainSample*> batch;
-  std::vector<double> batch_loss;
+  const int gnn_tasks = frozen ? 0 : net.num_gnn_grad_tasks();
 
   // Gradient of one staged batch, accumulated into the net; returns the
-  // batch's summed member loss (summed in sample order regardless of the
-  // thread count, so early stopping sees a deterministic value).
+  // batch's summed member loss. Phase A fills one slot per sample; phase
+  // B runs one task per gradient tensor, each walking the samples in
+  // batch order — every gradient element receives the same adds in the
+  // same order as a one-thread loop over the batch, whatever the thread
+  // count.
   auto batch_backward = [&]() -> double {
-    batch_loss.assign(batch.size(), 0.0);
-#ifdef PNP_PARALLEL
     const int nb = static_cast<int>(batch.size());
-    if (num_workers > 1 && nb > 1) {
-      std::exception_ptr err;
-#pragma omp parallel for schedule(static)
+    grow_slots(batch.size());
+    pool.run(nb, [&](int i, int) {
+      const TrainSample& s = *batch[static_cast<std::size_t>(i)];
+      SampleSlot& slot = slots[static_cast<std::size_t>(i)];
+      if (frozen) {
+        sample_input_grads(net, s, readouts.of(s.graph), slot);
+      } else {
+        net.encode_into(*s.graph, slot.gc);
+        sample_input_grads(net, s, slot.gc.readout, slot);
+      }
+    });
+    pool.run(gnn_tasks + RgcnNet::kDenseLayers, [&](int task, int worker) {
       for (int i = 0; i < nb; ++i) {
-        const auto t = static_cast<std::size_t>(omp_get_thread_num());
-        try {
-          const TrainSample& s = *batch[static_cast<std::size_t>(i)];
-          const RgcnNet::GnnCache* gc = nullptr;
-          if (net.gnn_frozen()) {
-            gc = &frozen_cache.at(s.graph);
-          } else {
-            net.encode_into(*s.graph, ctx[t].gc);
-            gc = &ctx[t].gc;
-          }
-          batch_loss[static_cast<std::size_t>(i)] =
-              sample_backward(net, s, *gc, ctx[t], &thread_grads[t]);
-        } catch (...) {
-#pragma omp critical
-          if (!err) err = std::current_exception();
+        const SampleSlot& slot = slots[static_cast<std::size_t>(i)];
+        if (task < gnn_tasks) {
+          net.gnn_param_grads(task, slot.gc, slot.gg,
+                              scratch[static_cast<std::size_t>(worker)]);
+          continue;
         }
+        const std::size_t members =
+            batch[static_cast<std::size_t>(i)]->members.size();
+        for (std::size_t k = 0; k < members; ++k)
+          net.dense_param_grads(task - gnn_tasks, slot.members[k].dc,
+                                slot.members[k].dg);
       }
-      if (err) std::rethrow_exception(err);
-      for (auto& tg : thread_grads) {
-        net.add_grad_buffer(tg);
-        for (Matrix& m : tg) m.zero();
-      }
-    } else
-#endif
-    {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const TrainSample& s = *batch[i];
-        const RgcnNet::GnnCache* gc = nullptr;
-        if (net.gnn_frozen()) {
-          gc = &frozen_cache.at(s.graph);
-        } else {
-          net.encode_into(*s.graph, ctx[0].gc);
-          gc = &ctx[0].gc;
-        }
-        batch_loss[i] = sample_backward(net, s, *gc, ctx[0], nullptr);
-      }
-    }
+    });
     double loss = 0.0;
-    for (double v : batch_loss) loss += v;
+    for (int i = 0; i < nb; ++i) loss += slots[static_cast<std::size_t>(i)].loss;
     return loss;
   };
 
@@ -226,7 +289,10 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
 
   report.epochs_run = static_cast<int>(report.epoch_loss.size());
   report.final_loss = report.epoch_loss.back();
-  report.train_accuracy = evaluate_accuracy(net, samples);
+  // A frozen GNN's weights did not move (the optimizer skips frozen
+  // parameters), so its up-front readouts are still current.
+  if (!frozen) readouts.build(net, samples, pool, workspace);
+  report.train_accuracy = accuracy(net, samples, readouts);
   report.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -235,37 +301,20 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
 
 double evaluate_accuracy(const RgcnNet& net,
                          std::span<const TrainSample> samples) {
-  std::size_t correct = 0, total = 0;
-  // One encode per distinct graph — samples sharing a graph (e.g. the four
-  // power caps of one region) reuse the cached pass, as train() does. Only
-  // the readout is kept per graph; one workspace serves every encode.
-  std::unordered_map<const graph::GraphTensors*, std::vector<double>>
-      readouts;
-  RgcnNet::GnnCache ws;
-  RgcnNet::DenseCache dc;
   for (const TrainSample& s : samples) {
     PNP_CHECK(s.graph != nullptr);
-    auto [it, inserted] = readouts.try_emplace(s.graph);
-    if (inserted) {
-      net.encode_into(*s.graph, ws);
-      it->second = ws.readout;
-    }
-    for (const SampleMember& m : s.members) {
-      net.dense_forward_into(it->second, m.extra, dc);
-      bool all = true;
-      for (std::size_t h = 0; h < m.labels.size(); ++h) {
-        const auto logits = net.head_logits(dc, static_cast<int>(h));
-        if (argmax_index(logits) != m.labels[h]) {
-          all = false;
-          break;
-        }
-      }
-      correct += all ? 1 : 0;
-      ++total;
-    }
+    s.graph->finalize();
   }
-  return total == 0 ? 0.0 : static_cast<double>(correct) /
-                                static_cast<double>(total);
+  TaskPool pool(resolve_threads(0));
+  std::vector<const graph::GraphTensors*> graphs;
+  for (const TrainSample& s : samples) graphs.push_back(s.graph);
+  std::vector<RgcnNet::GnnCache> ws(static_cast<std::size_t>(pool.size()));
+  for (RgcnNet::GnnCache& w : ws) net.reserve(graphs, w, nullptr);
+  GraphReadouts readouts;
+  readouts.build(net, samples, pool, [&ws](int slot) -> RgcnNet::GnnCache& {
+    return ws[static_cast<std::size_t>(slot)];
+  });
+  return accuracy(net, samples, readouts);
 }
 
 std::vector<int> predict_labels(const RgcnNet& net,

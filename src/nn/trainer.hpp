@@ -8,9 +8,20 @@
 /// forward/backward pass, with per-member dense passes — mathematically
 /// identical to independent samples, but ~4× cheaper on the GNN stage.
 ///
-/// When the GNN stage is frozen (transfer learning, paper §IV-B), encode()
-/// results are cached across epochs, which is where the paper's reported
-/// 4.18× training-time reduction comes from.
+/// When the GNN stage is frozen (transfer learning, paper §IV-B), each
+/// graph's readout is encoded once and reused across epochs, which is where
+/// the paper's reported 4.18× training-time reduction comes from.
+///
+/// Threads: each mini-batch runs on a std::thread pool owned by train()
+/// (TrainerConfig::threads, by default the calling thread's CPU affinity
+/// count; joined before train() returns). The backward pass is split in two
+/// phases — per sample, the forward pass and the input gradients; then per
+/// gradient tensor, the parameter gradients, adding up the samples in batch
+/// order (RgcnNet's dense_/gnn_input_grads and dense_/gnn_param_grads). So
+/// every gradient element receives the same floating-point adds in the same
+/// order as a one-thread loop over the batch: the trained weights, epoch
+/// losses and accuracy are bit-identical for every thread count, in every
+/// build (tests/nn_test.cpp, TrainingBitIdenticalAcrossThreadCounts).
 
 #include <cstdint>
 #include <span>
@@ -41,6 +52,10 @@ struct TrainerConfig {
   double min_loss = 1e-2;  ///< early-stop when mean loss drops below this
   std::uint64_t seed = 1234;
   bool verbose = false;
+  /// Threads per mini-batch, the caller included: ≤ 0 = the calling
+  /// thread's CPU affinity count. Results do not depend on it. Inside an
+  /// enclosing OpenMP parallel region training runs on the calling thread.
+  int threads = 0;
 };
 
 struct TrainReport {
@@ -56,7 +71,8 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
                   std::span<const TrainSample> samples,
                   const TrainerConfig& cfg);
 
-/// Exact-match accuracy of `net` on `samples` (all heads must match).
+/// Exact-match accuracy of `net` on `samples` (all heads must match). The
+/// per-graph encodes run on as many threads as the CPU affinity mask holds.
 double evaluate_accuracy(const RgcnNet& net,
                          std::span<const TrainSample> samples);
 

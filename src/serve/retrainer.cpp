@@ -156,7 +156,10 @@ RetrainController::Outcome RetrainController::run_once_locked() {
 
     core::PnpTuner candidate =
         core::PnpTuner::from_artifact(train_db_, incumbent_art);
-    candidate.fine_tune(train_regions_, opt_.fine_tune);
+    // One thread: a background retrain never takes the serving cores.
+    nn::TrainerConfig fine_tune = opt_.fine_tune;
+    fine_tune.threads = 1;
+    candidate.fine_tune(train_regions_, fine_tune);
 
     // --- 3. Gate: incumbent vs candidate on the held-out split. ----------
     core::EvalSplit split;

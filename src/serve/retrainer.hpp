@@ -55,7 +55,8 @@ struct RetrainOptions {
   /// Regions held out of fine-tuning and used to score the gate. Empty →
   /// every 4th region (deterministic default).
   std::vector<int> holdout_regions;
-  /// Per-round fine-tune budget (epochs/patience/min_loss).
+  /// Per-round fine-tune budget (epochs/patience/min_loss). `threads` is
+  /// ignored: fine-tuning always runs on the controller's one thread.
   nn::TrainerConfig fine_tune;
   /// A round with fewer than this many unconsumed records is a no-op.
   std::uint64_t min_new_records = 1;

@@ -59,11 +59,20 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Conn>(std::move(*sock));
     std::lock_guard<std::mutex> lk(conns_mu_);
     conns_.push_back(conn);
+    ++live_readers_;
     readers_.emplace_back([this, conn] { reader_loop(conn); });
   }
 }
 
 void Server::reader_loop(std::shared_ptr<Conn> conn) {
+  struct Returned {
+    Server& s;
+    ~Returned() {
+      std::lock_guard<std::mutex> lk(s.conns_mu_);
+      --s.live_readers_;
+      s.readers_cv_.notify_all();
+    }
+  } returned{*this};
   for (;;) {
     std::optional<std::string> payload;
     try {
@@ -74,10 +83,11 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
       // connection down. Only half-close here — in-flight jobs may still
       // be writing their replies, and the fd itself is closed once all
       // threads are joined in shutdown(). Other connections are
-      // untouched. During a drain the stream ends because shutdown()
-      // half-closed our read side, not because the client misbehaved —
-      // don't inflate the malformed counter or emit an id-0 error frame
-      // a strict id-matching client cannot correlate.
+      // untouched. During a drain the stream may end mid-frame because the
+      // client hung up on the drain's FIN, or shutdown() gave up lingering
+      // and half-closed our read side — not because the client
+      // misbehaved: don't inflate the malformed counter or emit an id-0
+      // error frame a strict id-matching client cannot correlate.
       if (!shut_down_.load(std::memory_order_relaxed)) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
         reply(*conn, protocol::encode_error_response(0, e.what()));
@@ -281,8 +291,7 @@ void Server::shutdown() {
     std::lock_guard<std::mutex> lk(shutdown_mu_);
     if (shut_down_.load(std::memory_order_relaxed)) return;
     // Readers consult this flag to tell a drain-induced EOF from a
-    // genuinely malformed stream; set it before step 2 half-closes their
-    // read sides.
+    // genuinely malformed stream; set it before step 3 closes anything.
     shut_down_.store(true, std::memory_order_relaxed);
   }
   // 1. Stop admitting (late arrivals get shed frames) and close the
@@ -293,13 +302,9 @@ void Server::shutdown() {
   }
   listener_.interrupt();
   if (acceptor_.joinable()) acceptor_.join();
-  // 2. Wake readers blocked mid-recv; half-read frames were never
-  //    admitted, so nothing accepted is lost.
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  // 3. Drain: every admitted request executes and flushes its reply.
+  // 2. Drain: every admitted request executes and flushes its reply.
+  //    Readers keep reading meanwhile; what they read now is refused with
+  //    a shed frame.
   {
     std::unique_lock<std::mutex> lk(queue_mu_);
     drain_cv_.wait(lk, [this] { return queue_.empty() && executing_ == 0; });
@@ -308,13 +313,21 @@ void Server::shutdown() {
   queue_cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  // 4. Close write sides (clients see EOF after their last reply), join
-  //    readers, drop connections. close_writes serializes the FIN
-  //    against in-flight replies; readers still flushing buffered-
-  //    before-FIN requests get fail-fast (uncounted) shed refusals.
+  // 3. Lingering close. Half-close every write side (clients see EOF
+  //    after their last reply; close_writes serializes the FIN against
+  //    in-flight replies), then let the readers read and discard what
+  //    clients still send — late requests get fail-fast, uncounted shed
+  //    refusals — until each client closes its end. Only then are the
+  //    sockets closed, so none is closed with unread bytes, which would
+  //    answer the client with a reset instead of the pending replies and
+  //    FIN. Readers of clients that neither send nor close by the
+  //    deadline are woken by a read-side shutdown.
   {
-    std::lock_guard<std::mutex> lk(conns_mu_);
+    std::unique_lock<std::mutex> lk(conns_mu_);
     for (auto& c : conns_) close_writes(*c);
+    readers_cv_.wait_for(lk, std::chrono::milliseconds(kLingerMs),
+                         [this] { return live_readers_ == 0; });
+    for (auto& c : conns_) c->sock.shutdown_read();
   }
   for (auto& r : readers_) r.join();
   readers_.clear();

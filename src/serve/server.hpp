@@ -19,8 +19,9 @@
 ///    refused;
 ///  - **graceful drain**: shutdown() closes the listener first, stops
 ///    admitting (late arrivals get shed frames), lets every accepted
-///    request finish and flush its reply, then closes connections and
-///    joins every thread. An accepted request is never lost.
+///    request finish and flush its reply, then closes connections with a
+///    lingering close and joins every thread. An accepted request is
+///    never lost.
 ///
 /// Responses carry the request's id, so workers may answer a
 /// connection's pipelined requests out of order; per-connection writes
@@ -109,8 +110,15 @@ class Server {
 
   /// Graceful drain, idempotent: stop accepting, refuse new admissions
   /// with shed frames, finish + flush every accepted request, close every
-  /// connection, join every thread.
+  /// connection, join every thread. The close lingers: after its last
+  /// reply a connection's write side is half-closed, and whatever the
+  /// client still sends is read and discarded until it closes its end
+  /// (or kLingerMs pass). Closing a socket with unread bytes would send a
+  /// reset, which can destroy replies the client has not read yet.
   void shutdown();
+
+  /// Longest a drain waits for clients to close after their final reply.
+  static constexpr int kLingerMs = 1000;
 
   struct Stats {
     std::uint64_t connections = 0;  ///< connections accepted
@@ -176,6 +184,8 @@ class Server {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;
   std::vector<std::thread> readers_;
+  int live_readers_ = 0;               ///< readers not yet returned
+  std::condition_variable readers_cv_; ///< shutdown: a reader returned
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;

@@ -3,8 +3,9 @@
 /// naive reference implementations across random shapes, the row-mapped
 /// CSR kernels against materialized gather/scatter, the CSR form of
 /// GraphTensors against the plain edge lists, the engine's RGCN forward
-/// against a from-scratch reference implementation, and the GradBuffer
-/// backward against in-place gradient accumulation.
+/// against a from-scratch reference implementation, and the two-phase
+/// backward (input gradients per sample, then parameter gradients per
+/// tensor) against one-sample backward passes in sequence.
 
 #include <gtest/gtest.h>
 
@@ -351,36 +352,67 @@ TEST(RgcnEngine, EncodeIsDeterministic) {
     EXPECT_DOUBLE_EQ(a.readout[d], b.readout[d]);
 }
 
-TEST(RgcnEngine, GradBufferMatchesDirectAccumulation) {
+/// The trainer's batch backward in miniature: phase A for every sample
+/// first, then phase-B tasks in an arbitrary order (here reversed), each
+/// walking the samples in batch order, must add up bit-identical gradients
+/// to dense_backward + gnn_backward run sample after sample — and phase A
+/// must leave every Param::g untouched.
+TEST(RgcnEngine, TwoPhaseBackwardMatchesOneSampleBackward) {
   for (int num_bases : {0, 2}) {
     auto cfg = small_config(6);
     cfg.num_bases = num_bases;
+    cfg.extra_features = 2;
     RgcnNet net(cfg);
-    const auto g = random_graph(13, 6, 8, 18);
-    const auto gc = net.encode(g);
-    const auto dc = net.dense_forward(gc.readout, {});
-    std::vector<double> dlogits(dc.logits.size());
-    for (std::size_t i = 0; i < dlogits.size(); ++i)
-      dlogits[i] = 0.1 * static_cast<double>(i + 1);
+    const std::vector<graph::GraphTensors> graphs = {
+        random_graph(13, 6, 8, 18), random_graph(7, 6, 9, 4),
+        random_graph(21, 6, 10, 40)};
+    const std::vector<std::vector<double>> extra = {
+        {0.5, -1.0}, {0.0, 2.0}, {-0.25, 0.75}};
+
+    struct Sample {
+      RgcnNet::GnnCache gc;
+      RgcnNet::DenseCache dc;
+      RgcnNet::DenseGrads dg;
+      RgcnNet::GnnGrads gg;
+    };
+    std::vector<Sample> batch(graphs.size());
+    for (std::size_t s = 0; s < graphs.size(); ++s) {
+      net.encode_into(graphs[s], batch[s].gc);
+      net.dense_forward_into(batch[s].gc.readout, extra[s], batch[s].dc);
+      batch[s].dg.dlogits.resize(batch[s].dc.logits.size());
+      for (std::size_t i = 0; i < batch[s].dg.dlogits.size(); ++i)
+        batch[s].dg.dlogits[i] =
+            0.1 * static_cast<double>(i + 1) - 0.3 * static_cast<double>(s);
+    }
 
     net.zero_grad();
-    const auto dr_direct = net.dense_backward(dc, dlogits);
-    net.gnn_backward(gc, dr_direct);
-    std::vector<double> direct;
+    for (const Sample& b : batch)
+      net.gnn_backward(b.gc, net.dense_backward(b.dc, b.dg.dlogits));
+    std::vector<double> sequential;
     for (Param* p : net.params())
-      direct.insert(direct.end(), p->g.flat().begin(), p->g.flat().end());
-
-    auto grads = net.make_grad_buffer();
-    RgcnNet::BackwardWs ws;
-    const auto dr_buf = net.dense_backward_into(dc, dlogits, grads);
-    EXPECT_EQ(dr_direct, dr_buf);
-    net.gnn_backward_into(gc, dr_buf, grads, ws);
+      sequential.insert(sequential.end(), p->g.flat().begin(),
+                        p->g.flat().end());
 
     net.zero_grad();
-    net.add_grad_buffer(grads);
+    for (Sample& b : batch) {
+      net.dense_input_grads(b.dc, b.dg);
+      net.gnn_input_grads(b.gc, b.dg.d_readout, b.gg);
+    }
+    for (Param* p : net.params())
+      for (double v : p->g.flat()) ASSERT_EQ(v, 0.0) << p->name;
+    Matrix scratch;
+    for (int t = net.num_gnn_grad_tasks() - 1; t >= 0; --t)
+      for (const Sample& b : batch) net.gnn_param_grads(t, b.gc, b.gg, scratch);
+    for (int layer = RgcnNet::kDenseLayers - 1; layer >= 0; --layer)
+      for (const Sample& b : batch) net.dense_param_grads(layer, b.dc, b.dg);
+
     std::size_t idx = 0;
     for (Param* p : net.params())
-      for (double v : p->g.flat()) EXPECT_DOUBLE_EQ(v, direct[idx++]);
+      for (double v : p->g.flat()) {
+        EXPECT_EQ(v, sequential[idx]) << p->name << " bases=" << num_bases;
+        ++idx;
+      }
+    EXPECT_EQ(idx, sequential.size());
   }
 }
 

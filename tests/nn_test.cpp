@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "nn/loss.hpp"
@@ -489,6 +491,199 @@ TEST(Trainer, PredictLabelsMatchesEvaluate) {
   EXPECT_LT(preds[0], 2);
   EXPECT_GE(preds[1], 0);
   EXPECT_LT(preds[1], 3);
+}
+
+// ---------------------------------------------------------------------------
+// Trainer: bit-identity across thread counts.
+// ---------------------------------------------------------------------------
+
+/// The oracle: the one-thread trainer as it was before batches were split
+/// over threads — per sample, encode (or the frozen cache), then
+/// dense_backward and gnn_backward in member order, straight into the
+/// parameters' gradients; evaluate_accuracy's serial one-encode-per-graph
+/// pass at the end.
+TrainReport sequential_train(RgcnNet& net, Optimizer& opt,
+                             std::span<const TrainSample> samples,
+                             const TrainerConfig& cfg) {
+  std::unordered_map<const graph::GraphTensors*, RgcnNet::GnnCache> frozen;
+  if (net.gnn_frozen())
+    for (const TrainSample& s : samples) {
+      auto [it, inserted] = frozen.try_emplace(s.graph);
+      if (inserted) net.encode_into(*s.graph, it->second);
+    }
+  RgcnNet::GnnCache gc_ws;
+  RgcnNet::DenseCache dc;
+  std::vector<double> d_readout, dlogits;
+  auto sample_backward = [&](const TrainSample& s,
+                             const RgcnNet::GnnCache& gc) {
+    d_readout.assign(static_cast<std::size_t>(net.config().hidden), 0.0);
+    double loss = 0.0;
+    for (const SampleMember& m : s.members) {
+      net.dense_forward_into(gc.readout, m.extra, dc);
+      dlogits.assign(dc.logits.size(), 0.0);
+      int off = 0;
+      for (std::size_t h = 0; h < m.labels.size(); ++h) {
+        const auto len =
+            static_cast<std::size_t>(net.config().head_sizes[h]);
+        const auto o = static_cast<std::size_t>(off);
+        loss += softmax_cross_entropy(
+            std::span<const double>(dc.logits).subspan(o, len), m.labels[h],
+            std::span<double>(dlogits).subspan(o, len));
+        off += static_cast<int>(len);
+      }
+      const auto dr = net.dense_backward(dc, dlogits);
+      for (std::size_t d = 0; d < d_readout.size(); ++d) d_readout[d] += dr[d];
+    }
+    net.gnn_backward(gc, d_readout);
+    return loss;
+  };
+
+  Rng rng(cfg.seed);
+  std::vector<std::size_t> order(samples.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  auto params = net.params();
+  TrainReport report;
+  double best_loss = 1e300;
+  int stale = 0;
+  std::vector<const TrainSample*> batch;
+  for (int epoch = 0; epoch < cfg.max_epochs; ++epoch) {
+    rng.shuffle(order);
+    double epoch_loss = 0.0;
+    std::size_t total_members = 0;
+    net.zero_grad();
+    batch.clear();
+    int batch_members = 0;
+    auto flush = [&]() {
+      if (batch_members == 0) return;
+      std::vector<double> batch_loss;
+      for (const TrainSample* s : batch) {
+        const RgcnNet::GnnCache* gc = &gc_ws;
+        if (net.gnn_frozen())
+          gc = &frozen.at(s->graph);
+        else
+          net.encode_into(*s->graph, gc_ws);
+        batch_loss.push_back(sample_backward(*s, *gc));
+      }
+      double loss = 0.0;
+      for (double v : batch_loss) loss += v;
+      epoch_loss += loss;
+      for (Param* p : params)
+        for (double& g : p->g.flat()) g *= 1.0 / batch_members;
+      opt.step(params);
+      net.zero_grad();
+      batch.clear();
+      batch_members = 0;
+    };
+    for (std::size_t oi : order) {
+      batch.push_back(&samples[oi]);
+      total_members += samples[oi].members.size();
+      batch_members += static_cast<int>(samples[oi].members.size());
+      if (batch_members >= cfg.batch_size) flush();
+    }
+    flush();
+    const double mean_loss = epoch_loss / static_cast<double>(total_members);
+    report.epoch_loss.push_back(mean_loss);
+    if (mean_loss < best_loss - 1e-4) {
+      best_loss = mean_loss;
+      stale = 0;
+    } else {
+      ++stale;
+    }
+    if (mean_loss < cfg.min_loss || stale >= cfg.patience) break;
+  }
+  report.epochs_run = static_cast<int>(report.epoch_loss.size());
+  report.final_loss = report.epoch_loss.back();
+
+  std::size_t correct = 0, total = 0;
+  std::unordered_map<const graph::GraphTensors*, std::vector<double>> readouts;
+  for (const TrainSample& s : samples) {
+    auto [it, inserted] = readouts.try_emplace(s.graph);
+    if (inserted) it->second = net.encode(*s.graph).readout;
+    for (const SampleMember& m : s.members) {
+      net.dense_forward_into(it->second, m.extra, dc);
+      bool all = true;
+      for (std::size_t h = 0; h < m.labels.size(); ++h)
+        all = all && argmax_index(net.head_logits(dc, static_cast<int>(h))) ==
+                         m.labels[h];
+      correct += all ? 1 : 0;
+      ++total;
+    }
+  }
+  report.train_accuracy =
+      static_cast<double>(correct) / static_cast<double>(total);
+  return report;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Graphs of mixed sizes, `members` members per graph (power scenario: 4
+/// caps per region; EDP: 1 per region), random labels.
+struct TrainSet {
+  std::vector<graph::GraphTensors> graphs;
+  std::vector<TrainSample> samples;
+  TrainSet(int num_graphs, int members, int vocab, std::uint64_t seed) {
+    Rng rng(seed);
+    for (int i = 0; i < num_graphs; ++i)
+      graphs.push_back(toy_graph(4 + static_cast<int>(rng.uniform_index(60)),
+                                 vocab, seed + static_cast<std::uint64_t>(i)));
+    for (const auto& g : graphs) {
+      TrainSample s;
+      s.graph = &g;
+      for (int k = 0; k < members; ++k)
+        s.members.push_back(SampleMember{
+            {rng.uniform(-1.0, 1.0), 0.25 * k},
+            {static_cast<int>(rng.uniform_index(3)),
+             static_cast<int>(rng.uniform_index(2))}});
+      samples.push_back(std::move(s));
+    }
+  }
+};
+
+TEST(Trainer, TrainingBitIdenticalAcrossThreadCounts) {
+  struct Case {
+    const char* name;
+    int graphs, members, num_bases;
+    bool frozen;
+  };
+  const Case cases[] = {{"power", 14, 4, 0, false},
+                        {"edp", 37, 1, 0, false},
+                        {"frozen", 14, 4, 0, true},
+                        {"bases", 37, 1, 2, false}};
+  for (const Case& c : cases) {
+    auto cfg = toy_config(10);
+    cfg.num_bases = c.num_bases;
+    const TrainSet set(c.graphs, c.members, cfg.vocab_size, 17);
+    TrainerConfig tc;
+    tc.max_epochs = 4;
+    tc.patience = 100;
+    tc.min_loss = 0.0;
+    tc.batch_size = 16;
+
+    RgcnNet ref(cfg);
+    ref.set_gnn_frozen(c.frozen);
+    auto ref_opt = Adam::adamw_amsgrad(3e-3, 1e-4);
+    const TrainReport want = sequential_train(ref, *ref_opt, set.samples, tc);
+    const StateDict want_sd = ref.state_dict();
+
+    for (int threads : {1, 2, 3, 4, 7}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      RgcnNet net(cfg);
+      net.set_gnn_frozen(c.frozen);
+      auto opt = Adam::adamw_amsgrad(3e-3, 1e-4);
+      tc.threads = threads;
+      const TrainReport got = train(net, *opt, set.samples, tc);
+      EXPECT_TRUE(same_bits(got.epoch_loss, want.epoch_loss));
+      EXPECT_EQ(got.train_accuracy, want.train_accuracy);
+      EXPECT_EQ(evaluate_accuracy(net, set.samples), want.train_accuracy);
+      const StateDict sd = net.state_dict();
+      ASSERT_EQ(sd.names(), want_sd.names());
+      for (const std::string& n : sd.names())
+        EXPECT_TRUE(same_bits(sd.get(n), want_sd.get(n))) << n;
+    }
+  }
 }
 
 TEST(Trainer, RejectsEmptySampleSet) {

@@ -330,10 +330,15 @@ TEST_F(SoakFixture, DrainUnderLoadAnswersEveryAcceptedRequestExactlyOnce) {
     });
 
   // Let traffic build, then drain while clients are mid-burst.
+  // Every client must have been accepted first: a connection still in
+  // the listen backlog when the listener closes is reset by the kernel
+  // (and the accounting below expects kClients connections).
   for (;;) {
     std::uint64_t total = 0;
     for (auto& l : logs) total += static_cast<std::uint64_t>(l.sent.load());
-    if (total >= 200) break;
+    if (total >= 200 &&
+        server->stats().connections == static_cast<std::uint64_t>(kClients))
+      break;
     std::this_thread::yield();
   }
   server->shutdown();
@@ -466,10 +471,15 @@ TEST_F(SoakFixture, MixedReadWriteDrainLogsEveryAckedObserveExactlyOnce) {
     });
 
   // Let mixed traffic build, then drain mid-burst.
+  // Every client must have been accepted first: a connection still in
+  // the listen backlog when the listener closes is reset by the kernel
+  // (and the accounting below expects kClients connections).
   for (;;) {
     std::uint64_t total = 0;
     for (auto& l : logs) total += static_cast<std::uint64_t>(l.sent.load());
-    if (total >= 200) break;
+    if (total >= 200 &&
+        server->stats().connections == static_cast<std::uint64_t>(kClients))
+      break;
     std::this_thread::yield();
   }
   server->shutdown();
