@@ -35,7 +35,6 @@
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
 #include "nn/trainer.hpp"
-#include "serve/inference_engine.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/irgen.hpp"
@@ -313,33 +312,34 @@ const core::TunerArtifact& serving_artifact() {
 }
 
 void BM_PredictBatch(benchmark::State& state, nn::Precision precision) {
-  // Steady-state serving: a 64-query batch (16 regions × 4 caps) through
-  // the InferenceEngine's arena-backed fast path. Each distinct graph is
-  // encoded once ever (cached across batches) and the dense phase runs in
-  // one planned workspace — compare the per-query cost (ns/op ÷ 64)
+  // Steady-state serving: a 64-request batch (16 regions × 4 caps) through
+  // TuningService::tune_batch on the calling thread. Each distinct graph
+  // is encoded once ever (cached across batches) and the dense phase runs
+  // in one planned workspace — compare the per-request cost (ns/op ÷ 64)
   // against BM_PnpInference, which re-encodes the graph on every call,
   // and the f32 row against the f64 row for the SIMD-width win.
-  static serve::InferenceEngine* engines[2] = {nullptr, nullptr};
+  static serve::TuningService* services[2] = {nullptr, nullptr};
   const std::size_t pi = precision == nn::Precision::f32 ? 1 : 0;
-  if (!engines[pi]) {
-    serve::EngineOptions eopt;
-    eopt.precision = precision;
-    engines[pi] = new serve::InferenceEngine(
-        core::PnpTuner::from_artifact(serving_db(), serving_artifact()), eopt);
+  if (!services[pi]) {
+    serve::TuningServiceOptions sopt;
+    sopt.precision = precision;
+    services[pi] = new serve::TuningService(
+        core::PnpTuner::from_artifact(serving_db(), serving_artifact()), sopt);
   }
-  serve::InferenceEngine& engine = *engines[pi];
-  static const std::vector<serve::PowerQuery> queries = [] {
-    std::vector<serve::PowerQuery> q;
+  serve::TuningService& service = *services[pi];
+  static const std::vector<serve::TuneRequest> batch = [] {
+    std::vector<serve::TuneRequest> q;
     for (int r = 40; r < 56; ++r)
-      for (int k = 0; k < serving_db().num_caps(); ++k) q.push_back({r, k});
+      for (int k = 0; k < serving_db().num_caps(); ++k)
+        q.push_back(serve::TuneRequest::power(r, k));
     return q;
   }();
   for (auto _ : state) {
-    auto out = engine.predict_power_batch(queries);
+    auto out = service.tune_batch(batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(queries.size()));
+                          static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK_CAPTURE(BM_PredictBatch, f64, nn::Precision::f64);
 BENCHMARK_CAPTURE(BM_PredictBatch, f32, nn::Precision::f32);

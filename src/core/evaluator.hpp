@@ -21,9 +21,10 @@
 /// The harness separates training from prediction from scoring so the
 /// serving layer can sit in the middle: train() returns the tuner,
 /// queries() enumerates the (region, cap) test grid, and score() consumes
-/// externally produced configurations — e.g. serve::InferenceEngine batch
-/// predictions — keeping core free of any serve dependency. evaluate() is
-/// the in-process convenience that wires the three together.
+/// externally produced configurations — e.g. the results of
+/// serve::TuningService::tune_batch — keeping core free of any serve
+/// dependency. evaluate() is the in-process convenience that wires the
+/// three together.
 
 #include <functional>
 #include <span>
@@ -142,9 +143,9 @@ class Evaluator {
     double geomean_speedup_candidate = 0.0;
   };
 
-  /// Compare `candidate` (e.g. f32-tier engine output) against
+  /// Compare `candidate` (e.g. f32-tier service output) against
   /// `reference` (f64), one config per queries() entry in order. Pure
-  /// scoring: the Evaluator never sees the engines, so any two prediction
+  /// scoring: the Evaluator never sees the models, so any two prediction
   /// sources can be diffed. Throws pnp::Error on size mismatches.
   PrecisionDelta precision_delta(
       const EvalSplit& split, std::span<const sim::OmpConfig> reference,

@@ -46,13 +46,6 @@ int PnpTuner::extra_feature_count(Mode mode) const {
                                    opt_.machine_features);
 }
 
-void PnpTuner::fill_extra(int region, std::optional<int> cap_index,
-                          std::optional<double> cap_w,
-                          std::vector<double>& x) const {
-  x.resize(static_cast<std::size_t>(extra_feature_count(mode_)));
-  fill_extra_into(region, cap_index, cap_w, x);
-}
-
 void PnpTuner::fill_extra_into(int region, std::optional<int> cap_index,
                                std::optional<double> cap_w,
                                std::span<double> x) const {
@@ -93,8 +86,8 @@ void PnpTuner::fill_extra_into(int region, std::optional<int> cap_index,
 std::vector<double> PnpTuner::make_extra(int region,
                                          std::optional<int> cap_index,
                                          std::optional<double> cap_w) const {
-  std::vector<double> x;
-  fill_extra(region, cap_index, cap_w, x);
+  std::vector<double> x(static_cast<std::size_t>(extra_feature_count(mode_)));
+  fill_extra_into(region, cap_index, cap_w, x);
   return x;
 }
 
@@ -159,14 +152,15 @@ sim::OmpConfig PnpTuner::decode_config(std::span<const int> preds,
   return s.config_from_classes(c.thread, c.sched, c.chunk);
 }
 
-sim::OmpConfig PnpTuner::decode_power_logits(std::span<const double> logits,
+template <typename T>
+sim::OmpConfig PnpTuner::decode_power_logits(std::span<const T> logits,
                                              double cap_w,
                                              int beam_width) const {
   const SearchSpace& s = db_.space();
   if (opt_.factored_heads) {
     const int nt = s.num_thread_classes(), ns = s.num_schedule_classes();
     const int nc = s.num_chunk_classes();
-    const auto choice = search_power<double>(
+    const auto choice = search_power<T>(
         s, cap_w, logits.subspan(0, static_cast<std::size_t>(nt)),
         logits.subspan(static_cast<std::size_t>(nt),
                        static_cast<std::size_t>(ns)),
@@ -182,14 +176,15 @@ sim::OmpConfig PnpTuner::decode_power_logits(std::span<const double> logits,
   return s.config_from_classes(c.thread, c.sched, c.chunk);
 }
 
-PnpTuner::JointChoice PnpTuner::decode_edp_logits(
-    std::span<const double> logits, int beam_width) const {
+template <typename T>
+PnpTuner::JointChoice PnpTuner::decode_edp_logits(std::span<const T> logits,
+                                                  int beam_width) const {
   const SearchSpace& s = db_.space();
   JointChoice jc;
   if (opt_.factored_heads) {
     const int np = s.num_cap_classes(), nt = s.num_thread_classes();
     const int ns = s.num_schedule_classes(), nc = s.num_chunk_classes();
-    const auto choice = search_edp<double>(
+    const auto choice = search_edp<T>(
         s, logits.subspan(0, static_cast<std::size_t>(np)),
         logits.subspan(static_cast<std::size_t>(np),
                        static_cast<std::size_t>(nt)),
@@ -217,6 +212,15 @@ PnpTuner::JointChoice PnpTuner::decode_edp_logits(
   jc.cfg = s.config_from_classes(c.thread, c.sched, c.chunk);
   return jc;
 }
+
+template sim::OmpConfig PnpTuner::decode_power_logits<double>(
+    std::span<const double>, double, int) const;
+template sim::OmpConfig PnpTuner::decode_power_logits<float>(
+    std::span<const float>, double, int) const;
+template PnpTuner::JointChoice PnpTuner::decode_edp_logits<double>(
+    std::span<const double>, int) const;
+template PnpTuner::JointChoice PnpTuner::decode_edp_logits<float>(
+    std::span<const float>, int) const;
 
 std::vector<int> PnpTuner::head_layout(Mode mode) const {
   return tuner_head_layout(db_.space(), opt_.factored_heads,
@@ -494,7 +498,7 @@ sim::OmpConfig PnpTuner::predict_power(int region, int cap_index) const {
   const auto extra = make_extra(region, cap_index, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_power_logits(
+  return decode_power_logits<double>(
       dc.logits,
       db_.space().power_caps()[static_cast<std::size_t>(cap_index)],
       /*beam_width=*/0);
@@ -509,7 +513,7 @@ sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
   const auto extra = make_extra(region, std::nullopt, cap_w);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_power_logits(dc.logits, cap_w, /*beam_width=*/0);
+  return decode_power_logits<double>(dc.logits, cap_w, /*beam_width=*/0);
 }
 
 PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
@@ -519,7 +523,7 @@ PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
   const auto extra = make_extra(region, std::nullopt, std::nullopt);
   const auto dc =
       net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_edp_logits(dc.logits, /*beam_width=*/0);
+  return decode_edp_logits<double>(dc.logits, /*beam_width=*/0);
 }
 
 TunerArtifact PnpTuner::to_artifact() const {

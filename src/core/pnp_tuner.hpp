@@ -154,7 +154,7 @@ class PnpTuner {
 
   /// Preferred serving precision, persisted in the artifact (missing key →
   /// f64, so artifacts from before the f32 tier load unchanged). Serving
-  /// layers may override per engine; training is always f64.
+  /// layers may override it per service; training is always f64.
   nn::Precision serve_precision() const { return serve_precision_; }
   void set_serve_precision(nn::Precision p) { serve_precision_ = p; }
 
@@ -171,6 +171,13 @@ class PnpTuner {
   /// The trained network (valid after train_*).
   const nn::RgcnNet& net() const;
 
+  /// The dense block's extra features for one query — cap (one-hot or
+  /// normalized watts; exactly one of `cap_index` / `cap_w` for power
+  /// models, neither for EDP), counters, machine features — laid out as
+  /// the trained model expects them after the graph readout.
+  std::vector<double> make_extra(int region, std::optional<int> cap_index,
+                                 std::optional<double> cap_w) const;
+
   const graph::FlowGraph& region_graph(int region) const;
   const MeasurementDb& db() const { return db_; }
 
@@ -184,16 +191,10 @@ class PnpTuner {
   void check_region(int region) const;
   void check_cap(int cap_index) const;
 
-  /// make_extra into a caller-owned buffer (no allocation once the
-  /// buffer's capacity is warm) — the serving fast path.
-  void fill_extra(int region, std::optional<int> cap_index,
-                  std::optional<double> cap_w, std::vector<double>& x) const;
-  /// fill_extra into a pre-sized span of exactly extra_feature_count(mode)
-  /// doubles — the arena-backed path (no resize, no allocation, ever).
+  /// make_extra into a pre-sized span of exactly extra_feature_count(mode)
+  /// doubles — the arena-backed serving path (no allocation, ever).
   void fill_extra_into(int region, std::optional<int> cap_index,
                        std::optional<double> cap_w, std::span<double> x) const;
-  std::vector<double> make_extra(int region, std::optional<int> cap_index,
-                                 std::optional<double> cap_w) const;
   int extra_feature_count(Mode mode) const;
   /// Classifier head layout for a mode under this db's search space.
   std::vector<int> head_layout(Mode mode) const;
@@ -217,9 +218,13 @@ class PnpTuner {
   /// argmax scan. `beam_width` <= 0 = full width (exact); serving layers
   /// pass their configured width. On constraint-free spaces both decodes
   /// are bit-identical to the historic independent/flat argmax.
-  sim::OmpConfig decode_power_logits(std::span<const double> logits,
-                                     double cap_w, int beam_width) const;
-  JointChoice decode_edp_logits(std::span<const double> logits,
+  /// Templated on the logits type so the f32 serving tier decodes with
+  /// the same code (instantiated for double and float).
+  template <typename T>
+  sim::OmpConfig decode_power_logits(std::span<const T> logits, double cap_w,
+                                     int beam_width) const;
+  template <typename T>
+  JointChoice decode_edp_logits(std::span<const T> logits,
                                 int beam_width) const;
   void build_model(Mode mode, const std::vector<int>& train_regions);
   nn::TrainReport run_training(const std::vector<nn::TrainSample>& samples);

@@ -48,6 +48,13 @@ SearchSpace SearchSpace::for_machine(const hw::MachineModel& m) {
   return s;
 }
 
+SearchSpace SearchSpace::by_name(const std::string& name,
+                                 const hw::MachineModel& m) {
+  if (name == "table1") return for_machine(m);
+  if (name == "extended") return extended_for_machine(m);
+  throw Error("unknown space '" + name + "' (expected table1 or extended)");
+}
+
 SearchSpace SearchSpace::extended_for_machine(const hw::MachineModel& m) {
   SearchSpace s = for_machine(m);
   // Deeper thread grid: every Table I value plus intermediate counts,

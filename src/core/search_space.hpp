@@ -27,6 +27,7 @@
 /// consults. The machine's default configuration is always valid — it is
 /// the guaranteed fallback when pruning empties a cap's slice.
 
+#include <string>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -69,6 +70,12 @@ class SearchSpace {
   /// classes × 3 schedules × 15 chunk classes (+ default) over the Table I
   /// caps — ≥2000 joint candidates — with the validity rules above.
   static SearchSpace extended_for_machine(const hw::MachineModel& m);
+
+  /// The `--space` flag every tool shares: "table1" (for_machine) or
+  /// "extended" (extended_for_machine). Throws pnp::Error on anything
+  /// else.
+  static SearchSpace by_name(const std::string& name,
+                             const hw::MachineModel& m);
 
   /// Fully parameterized space. `default_cfg.threads` must be on the
   /// thread grid and `default_cfg.chunk` must be 0 (the compiler-default

@@ -6,7 +6,9 @@
 /// are meaningful.
 
 #include <cstddef>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -135,6 +137,14 @@ enum class Precision { f64, f32 };
 
 inline const char* precision_name(Precision p) {
   return p == Precision::f32 ? "f32" : "f64";
+}
+
+/// Inverse of precision_name; nullopt for any other name, so each tool
+/// keeps its own error text for a bad `--precision`.
+inline std::optional<Precision> precision_from_name(std::string_view name) {
+  if (name == "f64") return Precision::f64;
+  if (name == "f32") return Precision::f32;
+  return std::nullopt;
 }
 
 /// Row-major single-precision matrix for the f32 inference tier. Only the

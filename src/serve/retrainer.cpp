@@ -191,16 +191,20 @@ RetrainController::Outcome RetrainController::run_once_locked() {
     if (better && service_.precision() == nn::Precision::f32) {
       // The service serves the f32 tier: the candidate must also stay
       // within the precision-delta bound, scored exactly like pnp_eval's
-      // precision_tier block (f64 reference vs f32 engine output).
-      EngineOptions eo;
-      eo.precision = nn::Precision::f32;
-      InferenceEngine f32_engine(
+      // precision_tier block (f64 reference vs f32-tier batch output).
+      TuningServiceOptions f32_opt;
+      f32_opt.precision = nn::Precision::f32;
+      TuningService f32_service(
           core::PnpTuner::from_artifact(train_db_, candidate.to_artifact()),
-          eo);
-      std::vector<PowerQuery> pq;
-      pq.reserve(queries.size());
-      for (const auto& q : queries) pq.push_back({q.region, q.cap_index});
-      const auto f32_cfgs = f32_engine.predict_power_batch(pq);
+          f32_opt);
+      std::vector<TuneRequest> batch;
+      batch.reserve(queries.size());
+      for (const auto& q : queries)
+        batch.push_back(TuneRequest::power(q.region, q.cap_index));
+      std::vector<sim::OmpConfig> f32_cfgs;
+      f32_cfgs.reserve(queries.size());
+      for (const TuneResult& r : f32_service.tune_batch(batch))
+        f32_cfgs.push_back(r.config);
       flip_rate = ev.precision_delta(split, cand_cfgs, f32_cfgs).flip_rate;
       tier_ok = flip_rate <= opt_.max_flip_rate;
     }

@@ -76,29 +76,20 @@ const Encoding& TuningService::Snapshot::encoding(
   return shards[stripe].try_emplace(region, std::move(fresh)).first->second;
 }
 
-TuneResult TuningService::Snapshot::serve(const TuneRequest& q, ServeCtx& c,
-                                          bool use_arena) const {
+TuneResult TuningService::Snapshot::serve(const TuneRequest& q,
+                                          ServeCtx& c) const {
   model.validate_region(q.region);
   TuneResult out;
   out.model_version = version;
-  // Same primitives either way; use_arena only picks which per-thread
-  // buffers back them (arena fast path vs allocation-path oracle).
   const auto run = [&](std::optional<int> ci, std::optional<double> cw) {
-    const Encoding& enc = encoding(q.region, c.gnn);
-    if (use_arena)
-      model.run_heads(enc, q.region, ci, cw, c.ws);
-    else
-      model.run_heads(enc, q.region, ci, cw, c.scratch);
-  };
-  const auto power = [&] {
-    return use_arena ? model.decode_power(c.ws) : model.decode_power(c.scratch);
+    model.run_heads(encoding(q.region, c.gnn), q.region, ci, cw, c.ws);
   };
   switch (q.kind) {
     case TuneRequest::Kind::Power: {
       model.require_mode(core::PnpTuner::Mode::Power, "a power query");
       model.validate_cap(q.cap_index);
       run(q.cap_index, std::nullopt);
-      out.config = power();
+      out.config = model.decode_power(c.ws);
       out.cap_index = q.cap_index;
       return out;
     }
@@ -108,15 +99,14 @@ TuneResult TuningService::Snapshot::serve(const TuneRequest& q, ServeCtx& c,
       PNP_CHECK_MSG(q.cap_w > 0.0,
                     "cap must be positive, got " << q.cap_w << " W");
       run(std::nullopt, q.cap_w);
-      out.config = power();
+      out.config = model.decode_power(c.ws);
       out.cap_index = -1;
       return out;
     }
     case TuneRequest::Kind::Edp: {
       model.require_mode(core::PnpTuner::Mode::Edp, "an edp query");
       run(std::nullopt, std::nullopt);
-      const core::PnpTuner::JointChoice jc =
-          use_arena ? model.decode_edp(c.ws) : model.decode_edp(c.scratch);
+      const core::PnpTuner::JointChoice jc = model.decode_edp(c.ws);
       out.config = jc.cfg;
       out.cap_index = jc.cap_index;
       return out;
@@ -238,7 +228,7 @@ void TuningService::worker_loop(WorkerShard& w) {
     const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
     for (Pending* p : batch) {
       try {
-        p->result = snap->serve(*p->req, w.ctx, opt_.use_arena);
+        p->result = snap->serve(*p->req, w.ctx);
       } catch (...) {
         p->error = std::current_exception();
       }
@@ -305,7 +295,7 @@ void TuningService::run_batch(const std::vector<Pending*>& batch) {
   CtxLease lease(*this);
   for (Pending* p : batch) {
     try {
-      p->result = snap->serve(*p->req, lease.get(), opt_.use_arena);
+      p->result = snap->serve(*p->req, lease.get());
     } catch (...) {
       p->error = std::current_exception();
     }
@@ -321,7 +311,7 @@ TuneResult TuningService::tune(const TuneRequest& request) {
     counters_->batches.fetch_add(1, kRelease);
     const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
     CtxLease lease(*this);
-    return snap->serve(request, lease.get(), opt_.use_arena);
+    return snap->serve(request, lease.get());
   }
 
   Pending p;
@@ -369,16 +359,16 @@ TuneResult TuningService::tune(const TuneRequest& request) {
 
 std::vector<TuneResult> TuningService::tune_batch(
     std::span<const TuneRequest> requests) {
+  std::vector<TuneResult> out;
+  if (requests.empty()) return out;  // no batch ran: count nothing
   counters_->requests.fetch_add(requests.size(), kRelease);
   counters_->batches.fetch_add(1, kRelease);
-  if (!requests.empty())
-    counters_->coalesced.fetch_add(requests.size() - 1, kRelease);
+  counters_->coalesced.fetch_add(requests.size() - 1, kRelease);
   const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
   CtxLease lease(*this);
-  std::vector<TuneResult> out;
   out.reserve(requests.size());
   for (const TuneRequest& q : requests)
-    out.push_back(snap->serve(q, lease.get(), opt_.use_arena));
+    out.push_back(snap->serve(q, lease.get()));
   return out;
 }
 

@@ -25,11 +25,10 @@
 ///    leader/follower queue with N dedicated worker threads, requests
 ///    routed by region hash (common/sync.hpp shard_of_key) to the worker
 ///    whose index equals the region's cache stripe. Each worker owns one
-///    serving context — allocation-path Scratch, arena-backed Workspace
-///    (nn/arena.hpp) and the GNN workspace its misses encode in — so
-///    steady-state serving is allocation-free and workers never touch
-///    each other's cache stripes. Optionally pinned to cores
-///    (pin_workers).
+///    serving context — the arena-backed Workspace (nn/arena.hpp) and
+///    the GNN workspace its misses encode in — so steady-state serving
+///    is allocation-free and workers never touch each other's cache
+///    stripes. Optionally pinned to cores (pin_workers).
 ///
 ///  - **Versioned hot reload.** reload(path) loads and validates a new
 ///    artifact entirely off to the side, then atomically publishes it
@@ -109,7 +108,7 @@ struct TuningServiceOptions {
   /// no coalescing; cache sharding still applies).
   bool coalesce = true;
   /// > 0 → worker-shard mode: that many dedicated worker threads, each
-  /// owning one serving context (scratch + arena workspace). Requests are
+  /// owning one serving context (arena + GNN workspaces). Requests are
   /// routed to workers by region hash (common/sync.hpp shard_of_key) and
   /// the encoding cache is striped to exactly the worker count, so a
   /// region's worker and its cache stripe coincide — workers never
@@ -127,10 +126,6 @@ struct TuningServiceOptions {
   /// predating the f32 tier). A reload may therefore switch tiers
   /// mid-stream when the new artifact asks for a different one.
   std::optional<nn::Precision> precision;
-  /// Serve through the arena-backed Workspace fast path (zero steady-state
-  /// allocations). false keeps the allocation-path Scratch oracle —
-  /// selectable so tests can compare both end to end.
-  bool use_arena = true;
   /// Constraint-fallback beam width passed to every published ModelState
   /// (<= 0 = full width, exact). Only consulted when a query's argmax
   /// tuple is pruned by the search space's constraint layer.
@@ -159,10 +154,13 @@ class TuningService {
   /// its batch.
   TuneResult tune(const TuneRequest& request);
 
-  /// Serve a caller-assembled batch against a single model snapshot (all
-  /// results carry the same version). Thread-safe; bypasses the admission
-  /// queue — the batch is already formed. Throws on the first invalid
-  /// request.
+  /// Serve a caller-assembled batch on the calling thread against one
+  /// model snapshot: one result per request, in order, all tagged with
+  /// the same version. Thread-safe; bypasses the admission queue. This is
+  /// also the offline batch API (pnp_tune, pnp_eval, the retrain gate):
+  /// at worker_shards = 0 the service starts no threads. Throws on the
+  /// first invalid request (the ones before it were served); an empty
+  /// batch counts nothing.
   std::vector<TuneResult> tune_batch(std::span<const TuneRequest> requests);
 
   /// Zero-downtime model replacement: load the artifact at `path`,
@@ -236,12 +234,10 @@ class TuningService {
         encode_hits{0}, encode_misses{0}, reloads{0}, failed_reloads{0};
   };
 
-  /// One thread's serving context: the allocation-path Scratch and the
-  /// arena-backed Workspace, of which TuningServiceOptions::use_arena
-  /// picks one per request, plus the GNN workspace a cache miss encodes
-  /// in (reused across misses, regions and snapshots).
+  /// One thread's serving context: the arena-backed Workspace the dense
+  /// heads and decode run in, plus the GNN workspace a cache miss encodes
+  /// in (both reused across requests, regions and snapshots).
   struct ServeCtx {
-    ModelState::Scratch scratch;
     ModelState::Workspace ws;
     nn::RgcnNet::GnnCache gnn;
   };
@@ -267,9 +263,8 @@ class TuningService {
     /// (the caller's workspace) unlocked; on a race the first insert wins
     /// — both encodings are bit-identical.
     const Encoding& encoding(int region, nn::RgcnNet::GnnCache& gnn) const;
-    /// Serve one request entirely against this snapshot, through the
-    /// arena or the allocation path per `use_arena`.
-    TuneResult serve(const TuneRequest& q, ServeCtx& c, bool use_arena) const;
+    /// Serve one request entirely against this snapshot.
+    TuneResult serve(const TuneRequest& q, ServeCtx& c) const;
     std::size_t cached() const;
   };
 

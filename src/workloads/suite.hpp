@@ -9,7 +9,7 @@
 ///   - generated corpora — arbitrary-size procedural corpora sampled by
 ///     workloads::Generator (generator.hpp).
 /// Both are Corpus instances, so everything downstream (MeasurementDb,
-/// PnpTuner, the LOOCV drivers, core::Evaluator, serve::InferenceEngine)
+/// PnpTuner, the LOOCV drivers, core::Evaluator, serve::TuningService)
 /// consumes them through the same abstraction.
 ///
 /// Every region is described by a KernelDescriptor (see sim/kernel.hpp)

@@ -6,18 +6,21 @@
 ///     tensors with overlapping lifetimes never share bytes, every offset
 ///     honors its alignment, and the arena never exceeds the sum of the
 ///     individual aligned sizes (reuse can only shrink it).
-///  2. Serving bit-identity: the arena-backed Workspace path produces
-///     predictions bit-identical to the allocation-path Scratch oracle —
-///     across power, power_at, and edp queries, and across a hot reload.
+///  2. Serving bit-identity: at both precision tiers, the arena-backed
+///     Workspace path produces predictions bit-identical to a
+///     fresh-memory reference that shares no Workspace or arena code —
+///     PnpTuner::predict_* at f64, a plain-vector f32 dense pass plus the
+///     public full-width decoders at f32 — across power, power_at, and
+///     edp queries, factored and dense heads, and across a hot reload.
 ///  3. The fast path's reason to exist: steady-state arena serving
 ///     performs ZERO heap allocations, verified by counting every global
 ///     operator new in this binary. The same counter shows that a cache
 ///     miss encodes in a reused GNN workspace and allocates only the
 ///     readout entry it caches.
-///  4. Workspace reuse is invisible: one service (and one engine) serving
-///     regions of different graph sizes, through misses, hits and a
-///     reload, answers every query bit-identically to a fresh-memory
-///     reference.
+///  4. Workspace reuse is invisible: one service serving regions of
+///     different graph sizes, through misses, hits, a reload and
+///     caller-formed batches, answers every query bit-identically to the
+///     fresh-memory reference.
 
 #include <gtest/gtest.h>
 
@@ -25,14 +28,17 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/config_search.hpp"
 #include "core/pnp_tuner.hpp"
 #include "core/tuner_artifact.hpp"
+#include "graph/builder.hpp"
 #include "nn/arena.hpp"
-#include "serve/inference_engine.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
@@ -240,97 +246,167 @@ class ArenaServingFixture : public ::testing::Test {
 
   static sim::Simulator* sim_;
   static core::MeasurementDb* db_;
+
+ public:
+  static const core::MeasurementDb& db() { return *db_; }
 };
 
 sim::Simulator* ArenaServingFixture::sim_ = nullptr;
 core::MeasurementDb* ArenaServingFixture::db_ = nullptr;
 
-serve::EngineOptions engine_options(bool use_arena) {
-  serve::EngineOptions opt;
-  opt.use_arena = use_arena;
-  return opt;
+/// Fresh-memory reference for one request at one tier, sharing no
+/// Workspace or arena code with serving. f64 is PnpTuner::predict_*. f32
+/// re-encodes the region from its flow graph, runs
+/// nn::RgcnNet::dense_forward_f32 on plain vectors, and decodes at full
+/// width with the public core::search_* / dense_argmax_valid, as
+/// predict_* does at f64. Power requests echo their cap index (-1 for
+/// power_at), as TuneResult does.
+core::PnpTuner::JointChoice reference(const core::PnpTuner& t,
+                                      nn::Precision p,
+                                      const serve::TuneRequest& q) {
+  using Kind = serve::TuneRequest::Kind;
+  const std::optional<int> cap_index =
+      q.kind == Kind::Power ? std::optional<int>(q.cap_index) : std::nullopt;
+  const std::optional<double> cap_w =
+      q.kind == Kind::PowerAt ? std::optional<double>(q.cap_w) : std::nullopt;
+  const int echo = q.kind == Kind::Power ? q.cap_index : -1;
+  if (p == nn::Precision::f64) {
+    if (q.kind == Kind::Edp) return t.predict_edp(q.region);
+    if (q.kind == Kind::Power)
+      return {echo, t.predict_power(q.region, q.cap_index)};
+    return {echo, t.predict_power_at(q.region, q.cap_w)};
+  }
+
+  const nn::RgcnNet& net = t.net();
+  const nn::RgcnNetConfig& cfg = net.config();
+  const std::vector<double> readout =
+      net.encode(graph::to_tensors(t.region_graph(q.region), t.vocab()))
+          .readout;
+  std::vector<float> u0(readout.begin(), readout.end());
+  for (const double x : t.make_extra(q.region, cap_index, cap_w))
+    u0.push_back(static_cast<float>(x));
+  std::vector<float> h1(static_cast<std::size_t>(cfg.dense_hidden1));
+  std::vector<float> h2(static_cast<std::size_t>(cfg.dense_hidden2));
+  std::vector<float> out(static_cast<std::size_t>(cfg.total_logits()));
+  nn::RgcnNet::dense_forward_f32(net.dense_weights_f32(), u0, h1, h2, out);
+
+  const core::SearchSpace& s = t.db().space();
+  const std::span<const float> l(out);
+  const bool edp = q.kind == Kind::Edp;
+  const double w =
+      cap_index ? s.power_caps()[static_cast<std::size_t>(*cap_index)]
+                : cap_w.value_or(0.0);  // 0 for EDP: the cap is predicted
+  if (cfg.head_sizes.size() == 1) {  // dense head
+    const int flat = core::dense_argmax_valid<float>(s, l, edp, w);
+    if (flat < 0)
+      return {edp ? s.num_cap_classes() - 1 : echo, s.default_config()};
+    const core::TunerClasses c = core::tuner_classes_from_flat(s, flat, edp);
+    return {edp ? c.cap : echo,
+            s.config_from_classes(c.thread, c.sched, c.chunk)};
+  }
+  const auto head = [&](int h) {
+    return l.subspan(static_cast<std::size_t>(net.head_offset(h)),
+                     static_cast<std::size_t>(
+                         cfg.head_sizes[static_cast<std::size_t>(h)]));
+  };
+  const core::SearchChoice c =
+      edp ? core::search_edp<float>(s, head(0), head(1), head(2), head(3), 0)
+          : core::search_power<float>(s, w, head(0), head(1), head(2), 0);
+  return {edp ? c.cap_cls : echo,
+          s.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls)};
+}
+
+constexpr nn::Precision kTiers[] = {nn::Precision::f64, nn::Precision::f32};
+
+/// Serve `batch` through one tune_batch at tier `p` and require every
+/// result to equal the fresh-memory reference bit for bit.
+void expect_batch_matches_reference(
+    const core::TunerArtifact& art, nn::Precision p,
+    const std::vector<serve::TuneRequest>& batch) {
+  SCOPED_TRACE(::testing::Message() << "precision " << nn::precision_name(p));
+  const core::PnpTuner ref = core::PnpTuner::from_artifact(
+      ArenaServingFixture::db(), art);
+  serve::TuningServiceOptions opt;
+  opt.precision = p;
+  serve::TuningService svc(
+      core::PnpTuner::from_artifact(ArenaServingFixture::db(), art), opt);
+  const auto got = svc.tune_batch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto want = reference(ref, p, batch[i]);
+    EXPECT_EQ(got[i].config, want.cfg) << "request " << i;
+    EXPECT_EQ(got[i].cap_index, want.cap_index) << "request " << i;
+  }
 }
 
 TEST_F(ArenaServingFixture, ArenaPowerPredictionsMatchOracle) {
-  const auto art = trained_power_artifact();
-  serve::InferenceEngine arena(core::PnpTuner::from_artifact(*db_, art),
-                               engine_options(true));
-  serve::InferenceEngine oracle(core::PnpTuner::from_artifact(*db_, art),
-                                engine_options(false));
-  std::vector<serve::PowerQuery> grid;
-  for (int r = 0; r < db_->num_regions(); ++r)
-    for (int k = 0; k < db_->num_caps(); ++k) grid.push_back({r, k});
-  const auto a = arena.predict_power_batch(grid);
-  const auto b = oracle.predict_power_batch(grid);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "query " << i;
+  for (const bool factored : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "factored " << factored);
+    core::PnpOptions opt = small_options();
+    opt.factored_heads = factored;
+    core::PnpTuner tuner(*db_, opt);
+    tuner.train_power_scenario(all_regions());
+    std::vector<serve::TuneRequest> grid;
+    for (int r = 0; r < db_->num_regions(); ++r)
+      for (int k = 0; k < db_->num_caps(); ++k)
+        grid.push_back(serve::TuneRequest::power(r, k));
+    for (const nn::Precision p : kTiers)
+      expect_batch_matches_reference(tuner.to_artifact(), p, grid);
+  }
 }
 
 TEST_F(ArenaServingFixture, ArenaPowerAtPredictionsMatchOracle) {
   const auto art = trained_power_artifact(/*scalar_cap=*/true);
-  serve::InferenceEngine arena(core::PnpTuner::from_artifact(*db_, art),
-                               engine_options(true));
-  serve::InferenceEngine oracle(core::PnpTuner::from_artifact(*db_, art),
-                                engine_options(false));
-  const auto regions = all_regions();
-  for (const double cap_w : {35.0, 52.5, 71.0}) {
-    const auto a = arena.predict_power_at_batch(regions, cap_w);
-    const auto b = oracle.predict_power_at_batch(regions, cap_w);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_EQ(a[i], b[i]) << "region " << i << " cap " << cap_w;
-  }
+  std::vector<serve::TuneRequest> batch;
+  for (const double cap_w : {35.0, 52.5, 71.0})
+    for (int r = 0; r < db_->num_regions(); ++r)
+      batch.push_back(serve::TuneRequest::power_at(r, cap_w));
+  for (const nn::Precision p : kTiers)
+    expect_batch_matches_reference(art, p, batch);
 }
 
 TEST_F(ArenaServingFixture, ArenaEdpPredictionsMatchOracle) {
-  core::PnpTuner t1(*db_, small_options());
-  t1.train_edp_scenario(all_regions());
-  const auto art = t1.to_artifact();
-  serve::InferenceEngine arena(core::PnpTuner::from_artifact(*db_, art),
-                               engine_options(true));
-  serve::InferenceEngine oracle(core::PnpTuner::from_artifact(*db_, art),
-                                engine_options(false));
-  const auto regions = all_regions();
-  const auto a = arena.predict_edp_batch(regions);
-  const auto b = oracle.predict_edp_batch(regions);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cfg, b[i].cfg) << "region " << i;
-    EXPECT_EQ(a[i].cap_index, b[i].cap_index) << "region " << i;
+  for (const bool factored : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "factored " << factored);
+    core::PnpOptions opt = small_options();
+    opt.factored_heads = factored;
+    core::PnpTuner tuner(*db_, opt);
+    tuner.train_edp_scenario(all_regions());
+    std::vector<serve::TuneRequest> regions;
+    for (int r = 0; r < db_->num_regions(); ++r)
+      regions.push_back(serve::TuneRequest::edp(r));
+    for (const nn::Precision p : kTiers)
+      expect_batch_matches_reference(tuner.to_artifact(), p, regions);
   }
 }
 
 TEST_F(ArenaServingFixture, ArenaServiceMatchesOracleAcrossReload) {
-  // Same request stream against an arena-backed service and the
-  // allocation-path oracle service, with a hot reload in the middle —
-  // results (and served versions) must stay bit-identical throughout.
+  // One request stream per tier through tune(), with a hot reload in the
+  // middle: results stay bit-identical to the fresh-memory reference and
+  // carry the version that served them.
   const auto art = trained_power_artifact();
   const std::string path = ::testing::TempDir() + "arena_reload.pnp";
   art.save_file(path);
-
-  serve::TuningServiceOptions arena_opt, oracle_opt;
-  arena_opt.use_arena = true;
-  oracle_opt.use_arena = false;
-  serve::TuningService arena_svc(core::PnpTuner::from_artifact(*db_, art),
-                                 arena_opt);
-  serve::TuningService oracle_svc(core::PnpTuner::from_artifact(*db_, art),
-                                  oracle_opt);
-
-  const auto compare_grid = [&] {
-    for (int r = 0; r < db_->num_regions(); ++r)
-      for (int k = 0; k < db_->num_caps(); ++k) {
-        const auto q = serve::TuneRequest::power(r, k);
-        const auto a = arena_svc.tune(q);
-        const auto b = oracle_svc.tune(q);
-        EXPECT_EQ(a.config, b.config) << "region " << r << " cap " << k;
-        EXPECT_EQ(a.model_version, b.model_version);
-      }
-  };
-  compare_grid();
-  EXPECT_EQ(arena_svc.reload(path), 2u);
-  EXPECT_EQ(oracle_svc.reload(path), 2u);
-  compare_grid();
+  const core::PnpTuner ref = core::PnpTuner::from_artifact(*db_, art);
+  for (const nn::Precision p : kTiers) {
+    SCOPED_TRACE(::testing::Message() << "precision " << nn::precision_name(p));
+    serve::TuningServiceOptions opt;
+    opt.precision = p;
+    serve::TuningService svc(core::PnpTuner::from_artifact(*db_, art), opt);
+    const auto compare_grid = [&](std::uint64_t version) {
+      for (int r = 0; r < db_->num_regions(); ++r)
+        for (int k = 0; k < db_->num_caps(); ++k) {
+          const auto q = serve::TuneRequest::power(r, k);
+          const auto got = svc.tune(q);
+          EXPECT_EQ(got.config, reference(ref, p, q).cfg)
+              << "region " << r << " cap " << k;
+          EXPECT_EQ(got.model_version, version);
+        }
+    };
+    compare_grid(1);
+    EXPECT_EQ(svc.reload(path), 2u);
+    compare_grid(2);
+  }
 }
 
 TEST_F(ArenaServingFixture, WorkspacePlanIsBoundedAndStable) {
@@ -457,9 +533,8 @@ TEST_F(ArenaServingFixture, MissesAllocateOnlyTheirEntryAndHitsNothing) {
 }
 
 TEST_F(ArenaServingFixture, ReusedWorkspaceBitIdenticalAcrossShapesAndReload) {
-  // Reference per tier, computed in fresh memory per region: f64 is
-  // PnpTuner::predict_power; f32 is an f32 ModelState encoding each
-  // region into its own GnnCache.
+  // Reference per tier, computed in fresh memory per region (see
+  // reference() above).
   const auto art = trained_power_artifact();
   const std::string path = ::testing::TempDir() + "arena_reuse.pnp";
   art.save_file(path);
@@ -469,29 +544,16 @@ TEST_F(ArenaServingFixture, ReusedWorkspaceBitIdenticalAcrossShapesAndReload) {
             tuner.region_graph(order[1]).num_nodes());
   const int nc = db_->num_caps();
 
-  for (const nn::Precision p : {nn::Precision::f64, nn::Precision::f32}) {
+  for (const nn::Precision p : kTiers) {
     SCOPED_TRACE(::testing::Message() << "precision " << static_cast<int>(p));
     std::vector<sim::OmpConfig> want(
         static_cast<std::size_t>(db_->num_regions() * nc));
     const auto at = [&](int r, int k) -> sim::OmpConfig& {
       return want[static_cast<std::size_t>(r * nc + k)];
     };
-    if (p == nn::Precision::f64) {
-      for (int r = 0; r < db_->num_regions(); ++r)
-        for (int k = 0; k < nc; ++k) at(r, k) = tuner.predict_power(r, k);
-    } else {
-      const serve::ModelState ref(core::PnpTuner::from_artifact(*db_, art),
-                                  nn::Precision::f32);
-      serve::ModelState::Scratch s;
-      for (int r = 0; r < db_->num_regions(); ++r) {
-        nn::RgcnNet::GnnCache fresh;
-        ref.encode(r, fresh);
-        for (int k = 0; k < nc; ++k) {
-          ref.run_heads(fresh, r, k, std::nullopt, s);
-          at(r, k) = ref.decode_power(s);
-        }
-      }
-    }
+    for (int r = 0; r < db_->num_regions(); ++r)
+      for (int k = 0; k < nc; ++k)
+        at(r, k) = reference(tuner, p, serve::TuneRequest::power(r, k)).cfg;
 
     for (const int shards : {0, 2}) {
       SCOPED_TRACE(::testing::Message() << "shards " << shards);
@@ -517,20 +579,19 @@ TEST_F(ArenaServingFixture, ReusedWorkspaceBitIdenticalAcrossShapesAndReload) {
       EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
     }
 
-    serve::EngineOptions eopt;
-    eopt.precision = p;
-    serve::InferenceEngine engine(core::PnpTuner::from_artifact(*db_, art),
-                                  eopt);
-    std::vector<serve::PowerQuery> grid;
+    // The same grid as one caller-formed batch, twice: misses, then hits.
+    serve::TuningService svc(*db_, path, service_options(p, 0));
+    std::vector<serve::TuneRequest> grid;
     for (const int r : order)
-      for (int k = 0; k < nc; ++k) grid.push_back({r, k});
-    for (int pass = 0; pass < 2; ++pass) {  // misses, then hits
-      const auto got = engine.predict_power_batch(grid);
+      for (int k = 0; k < nc; ++k)
+        grid.push_back(serve::TuneRequest::power(r, k));
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto got = svc.tune_batch(grid);
       ASSERT_EQ(got.size(), grid.size());
       for (std::size_t i = 0; i < grid.size(); ++i)
-        EXPECT_EQ(got[i], at(grid[i].region, grid[i].cap_index))
-            << "engine pass " << pass << " query " << i;
-      EXPECT_EQ(engine.cached_encodings(),
+        EXPECT_EQ(got[i].config, at(grid[i].region, grid[i].cap_index))
+            << "batch pass " << pass << " request " << i;
+      EXPECT_EQ(svc.cached_encodings(),
                 static_cast<std::size_t>(db_->num_regions()));
     }
   }

@@ -9,7 +9,7 @@
 
 #include "common/error.hpp"
 #include "core/evaluator.hpp"
-#include "serve/inference_engine.hpp"
+#include "serve/tuning_service.hpp"
 #include "workloads/generator.hpp"
 
 namespace pnp::core {
@@ -219,24 +219,26 @@ TEST_F(EvaluatorTest, PredictPowerAtBatchMatchesSingleQueryPath) {
     expected.push_back(direct.predict_power_at(r, cap_w));
 
   // Training is deterministic, so a second train() yields the same model.
-  serve::InferenceEngine engine(ev.train(s, fast_options()));
-  const auto batched = engine.predict_power_at_batch(s.test_regions, cap_w);
+  serve::TuningService service(ev.train(s, fast_options()));
+  const auto at_cap = [&](double w) {
+    std::vector<serve::TuneRequest> batch;
+    for (int r : s.test_regions)
+      batch.push_back(serve::TuneRequest::power_at(r, w));
+    return batch;
+  };
+  const auto batched = service.tune_batch(at_cap(cap_w));
   // Repeat to exercise the warm encoding cache.
-  const auto again = engine.predict_power_at_batch(s.test_regions, cap_w);
+  const auto again = service.tune_batch(at_cap(cap_w));
   ASSERT_EQ(batched.size(), expected.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].threads, expected[i].threads);
-    EXPECT_EQ(batched[i].schedule, expected[i].schedule);
-    EXPECT_EQ(batched[i].chunk, expected[i].chunk);
-    EXPECT_EQ(again[i].threads, expected[i].threads);
+    EXPECT_EQ(batched[i].config, expected[i]) << "region " << i;
+    EXPECT_EQ(again[i].config, expected[i]) << "region " << i;
   }
-  EXPECT_THROW(engine.predict_power_at_batch(s.test_regions, -5.0),
-               pnp::Error);
+  EXPECT_THROW(service.tune_batch(at_cap(-5.0)), pnp::Error);
 
   // A one-hot-cap model must refuse arbitrary-cap serving.
-  serve::InferenceEngine onehot(ev.train(half_split(), fast_options()));
-  EXPECT_THROW(onehot.predict_power_at_batch(s.test_regions, cap_w),
-               pnp::Error);
+  serve::TuningService onehot(ev.train(half_split(), fast_options()));
+  EXPECT_THROW(onehot.tune_batch(at_cap(cap_w)), pnp::Error);
 }
 
 TEST_F(EvaluatorTest, SplitBuildersPartitionByAppAndCap) {

@@ -5,7 +5,7 @@
 /// with the edge lists), and generation must be a pure function of the
 /// options — two fresh Generator instances with the same seed are
 /// bit-identical. Also covers family archetype guarantees and end-to-end
-/// consumption by MeasurementDb / PnpTuner / InferenceEngine.
+/// consumption by MeasurementDb / PnpTuner / TuningService.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
-#include "serve/inference_engine.hpp"
+#include "serve/tuning_service.hpp"
 #include "workloads/generator.hpp"
 
 namespace pnp::workloads {
@@ -268,17 +268,15 @@ TEST(Generator, GeneratedCorpusTrainsAndServes) {
     for (int k = 0; k < db.num_caps(); ++k)
       direct.push_back(tuner.predict_power(r, k));
 
-  serve::InferenceEngine engine(std::move(tuner));
-  std::vector<serve::PowerQuery> queries;
+  serve::TuningService service(std::move(tuner));
+  std::vector<serve::TuneRequest> batch;
   for (int r = 4; r < 6; ++r)
-    for (int k = 0; k < db.num_caps(); ++k) queries.push_back({r, k});
-  const auto batched = engine.predict_power_batch(queries);
+    for (int k = 0; k < db.num_caps(); ++k)
+      batch.push_back(serve::TuneRequest::power(r, k));
+  const auto batched = service.tune_batch(batch);
   ASSERT_EQ(batched.size(), direct.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].threads, direct[i].threads);
-    EXPECT_EQ(batched[i].schedule, direct[i].schedule);
-    EXPECT_EQ(batched[i].chunk, direct[i].chunk);
-  }
+  for (std::size_t i = 0; i < batched.size(); ++i)
+    EXPECT_EQ(batched[i].config, direct[i]) << "request " << i;
 }
 
 TEST(Generator, MixedCorpusDbFindsBothSuites) {

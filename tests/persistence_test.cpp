@@ -1,14 +1,15 @@
 /// \file persistence_test.cpp
 /// The persistence + serving subsystem: hardened StateDict (v2 typed
 /// entries, v1 back-compat, malformed-input corpus), TunerArtifact
-/// round-trips, PnpTuner::save/load bit-exactness, and InferenceEngine
-/// batched-vs-sequential equivalence.
+/// round-trips, PnpTuner::save/load bit-exactness, and
+/// TuningService::tune_batch batched-vs-sequential equivalence.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,7 +17,7 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "core/tuner_artifact.hpp"
-#include "serve/inference_engine.hpp"
+#include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
 namespace pnp {
@@ -481,83 +482,95 @@ TEST_F(PersistenceFixture, MalformedConstraintFingerprintRejected) {
   EXPECT_TRUE(art.constraint_rules().empty());
 }
 
-// --- InferenceEngine ---------------------------------------------------------
+// --- TuningService::tune_batch ----------------------------------------------
 
 TEST_F(PersistenceFixture, BatchedPowerMatchesSequential) {
   core::PnpTuner tuner(*db_, small_options());
   tuner.train_power_scenario(all_regions());
-  const std::string path = ::testing::TempDir() + "pnp_engine_power.pnp";
+  const std::string path = ::testing::TempDir() + "pnp_batch_power.pnp";
   tuner.save(path);
 
-  serve::InferenceEngine engine(*db_, path);
+  serve::TuningService service(*db_, path);
   // A batch with duplicates, reversed order, and every (region, cap) pair.
-  std::vector<serve::PowerQuery> queries;
+  std::vector<serve::TuneRequest> batch;
   for (int r = db_->num_regions() - 1; r >= 0; --r)
     for (int k = 0; k < db_->num_caps(); ++k) {
-      queries.push_back({r, k});
-      if (r % 3 == 0) queries.push_back({r, k});
+      batch.push_back(serve::TuneRequest::power(r, k));
+      if (r % 3 == 0) batch.push_back(serve::TuneRequest::power(r, k));
     }
-  const auto batched = engine.predict_power_batch(queries);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(batched[i],
-              tuner.predict_power(queries[i].region, queries[i].cap_index))
-        << "query " << i;
+  const auto batched = service.tune_batch(batch);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(batched[i].config,
+              tuner.predict_power(batch[i].region, batch[i].cap_index))
+        << "request " << i;
   // Each distinct graph was encoded exactly once despite duplicates.
-  EXPECT_EQ(engine.cached_encodings(),
+  EXPECT_EQ(service.cached_encodings(),
             static_cast<std::size_t>(db_->num_regions()));
+  EXPECT_EQ(service.stats().encode_misses,
+            static_cast<std::uint64_t>(db_->num_regions()));
 
-  // Single-query API agrees too, and repeated batches stay stable.
-  EXPECT_EQ(engine.predict_power(0, 1), tuner.predict_power(0, 1));
-  EXPECT_EQ(engine.predict_power_batch(queries), batched);
+  // Single-request API agrees too, and repeated batches stay stable.
+  EXPECT_EQ(service.tune(serve::TuneRequest::power(0, 1)).config,
+            tuner.predict_power(0, 1));
+  const auto again = service.tune_batch(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(again[i].config, batched[i].config) << "request " << i;
 }
 
 TEST_F(PersistenceFixture, BatchedEdpMatchesSequential) {
   core::PnpTuner tuner(*db_, small_options());
   tuner.train_edp_scenario(all_regions());
-  serve::InferenceEngine engine(
+  serve::TuningService service(
       core::PnpTuner::load(*db_, [&] {
-        const std::string p = ::testing::TempDir() + "pnp_engine_edp.pnp";
+        const std::string p = ::testing::TempDir() + "pnp_batch_edp.pnp";
         tuner.save(p);
         return p;
       }()));
 
-  std::vector<int> regions;
+  std::vector<serve::TuneRequest> batch;
   for (int r = 0; r < db_->num_regions(); ++r) {
-    regions.push_back(r);
-    regions.push_back(db_->num_regions() - 1 - r);
+    batch.push_back(serve::TuneRequest::edp(r));
+    batch.push_back(serve::TuneRequest::edp(db_->num_regions() - 1 - r));
   }
-  const auto batched = engine.predict_edp_batch(regions);
-  ASSERT_EQ(batched.size(), regions.size());
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    const auto expect = tuner.predict_edp(regions[i]);
+  const auto batched = service.tune_batch(batch);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto expect = tuner.predict_edp(batch[i].region);
     EXPECT_EQ(batched[i].cap_index, expect.cap_index);
-    EXPECT_EQ(batched[i].cfg, expect.cfg);
+    EXPECT_EQ(batched[i].config, expect.cfg);
   }
 }
 
-TEST_F(PersistenceFixture, EngineRejectsBadQueries) {
+TEST_F(PersistenceFixture, TuneBatchRejectsBadQueries) {
   core::PnpTuner tuner(*db_, small_options());
   tuner.train_power_scenario(all_regions());
-  serve::InferenceEngine engine(std::move(tuner));
+  serve::TuningService service(std::move(tuner));
+  const auto one = [&](const serve::TuneRequest& q) {
+    return service.tune_batch(std::span<const serve::TuneRequest>(&q, 1))
+        .at(0)
+        .config;
+  };
 
-  EXPECT_THROW(engine.predict_power(-1, 0), Error);
-  EXPECT_THROW(engine.predict_power(db_->num_regions(), 0), Error);
-  EXPECT_THROW(engine.predict_power(0, -1), Error);
-  EXPECT_THROW(engine.predict_power(0, db_->num_caps()), Error);
-  EXPECT_THROW(engine.predict_edp(0), Error);  // power-mode engine
+  EXPECT_THROW(one(serve::TuneRequest::power(-1, 0)), Error);
+  EXPECT_THROW(one(serve::TuneRequest::power(db_->num_regions(), 0)), Error);
+  EXPECT_THROW(one(serve::TuneRequest::power(0, -1)), Error);
+  EXPECT_THROW(one(serve::TuneRequest::power(0, db_->num_caps())), Error);
+  EXPECT_THROW(one(serve::TuneRequest::edp(0)), Error);  // power-mode model
 
   // A batch that fails validation must not poison the encoding cache:
   // the valid region in the failed batch still serves correctly after.
-  const auto before = engine.predict_power(3, 1);
-  const std::vector<serve::PowerQuery> mixed = {{5, 0},
-                                                {db_->num_regions(), 0}};
-  EXPECT_THROW(engine.predict_power_batch(mixed), Error);
-  EXPECT_EQ(engine.predict_power(5, 0), engine.predict_power(5, 0));
-  EXPECT_EQ(engine.predict_power(3, 1), before);
+  const auto before = one(serve::TuneRequest::power(3, 1));
+  const std::vector<serve::TuneRequest> mixed = {
+      serve::TuneRequest::power(5, 0),
+      serve::TuneRequest::power(db_->num_regions(), 0)};
+  EXPECT_THROW(service.tune_batch(mixed), Error);
+  EXPECT_EQ(one(serve::TuneRequest::power(5, 0)),
+            one(serve::TuneRequest::power(5, 0)));
+  EXPECT_EQ(one(serve::TuneRequest::power(3, 1)), before);
 
   core::PnpTuner untrained(*db_, small_options());
-  EXPECT_THROW(serve::InferenceEngine{std::move(untrained)}, Error);
+  EXPECT_THROW(serve::TuningService{std::move(untrained)}, Error);
 }
 
 }  // namespace

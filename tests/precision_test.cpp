@@ -7,8 +7,8 @@
 ///    power/time deltas (core::Evaluator::precision_delta) are small;
 ///  - artifact round-trips preserve the persisted serving tier, and old
 ///    artifacts without the field default to f64;
-///  - precision overrides at every layer (engine options, service
-///    options) beat the artifact's preference;
+///  - the service-options precision override beats the artifact's
+///    preference;
 ///  - mixed-precision hot reload: an f64-serving TuningService publishes
 ///    an f32 artifact mid-stream and switches tiers atomically.
 
@@ -19,7 +19,6 @@
 #include "core/evaluator.hpp"
 #include "core/pnp_tuner.hpp"
 #include "core/tuner_artifact.hpp"
-#include "serve/inference_engine.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
@@ -63,10 +62,26 @@ class PrecisionFixture : public ::testing::Test {
     return tuner.to_artifact();
   }
 
-  static serve::EngineOptions at(nn::Precision p) {
-    serve::EngineOptions opt;
+  static serve::TuningServiceOptions at(nn::Precision p) {
+    serve::TuningServiceOptions opt;
     opt.precision = p;
     return opt;
+  }
+
+  /// Configs for `regions` × all caps (row-major, the order
+  /// Evaluator::queries uses) from one tune_batch at tier `p`.
+  static std::vector<sim::OmpConfig> predict(const core::TunerArtifact& art,
+                                             nn::Precision p,
+                                             const std::vector<int>& regions) {
+    serve::TuningService svc(core::PnpTuner::from_artifact(*db_, art), at(p));
+    std::vector<serve::TuneRequest> grid;
+    for (const int r : regions)
+      for (int k = 0; k < db_->num_caps(); ++k)
+        grid.push_back(serve::TuneRequest::power(r, k));
+    std::vector<sim::OmpConfig> out;
+    for (const serve::TuneResult& res : svc.tune_batch(grid))
+      out.push_back(res.config);
+    return out;
   }
 
   static sim::Simulator* sim_;
@@ -76,16 +91,16 @@ class PrecisionFixture : public ::testing::Test {
 sim::Simulator* PrecisionFixture::sim_ = nullptr;
 core::MeasurementDb* PrecisionFixture::db_ = nullptr;
 
-TEST_F(PrecisionFixture, EnginePrecisionFollowsArtifactAndOverride) {
+TEST_F(PrecisionFixture, ServicePrecisionFollowsArtifactAndOverride) {
   core::TunerArtifact art = trained_power_artifact();
   EXPECT_EQ(art.serve_precision, nn::Precision::f64);  // default tier
 
   art.serve_precision = nn::Precision::f32;
-  serve::InferenceEngine follows(core::PnpTuner::from_artifact(*db_, art));
+  serve::TuningService follows(core::PnpTuner::from_artifact(*db_, art));
   EXPECT_EQ(follows.precision(), nn::Precision::f32);
 
-  serve::InferenceEngine overridden(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f64));
+  serve::TuningService overridden(core::PnpTuner::from_artifact(*db_, art),
+                                  at(nn::Precision::f64));
   EXPECT_EQ(overridden.precision(), nn::Precision::f64);
 }
 
@@ -106,16 +121,8 @@ TEST_F(PrecisionFixture, ArtifactRoundTripPreservesPrecision) {
 
 TEST_F(PrecisionFixture, F32TierAccuracyCloseToF64) {
   const auto art = trained_power_artifact();
-  serve::InferenceEngine f64_engine(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f64));
-  serve::InferenceEngine f32_engine(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f32));
-
-  std::vector<serve::PowerQuery> grid;
-  for (int r = 0; r < db_->num_regions(); ++r)
-    for (int k = 0; k < db_->num_caps(); ++k) grid.push_back({r, k});
-  const auto ref = f64_engine.predict_power_batch(grid);
-  const auto f32 = f32_engine.predict_power_batch(grid);
+  const auto ref = predict(art, nn::Precision::f64, all_regions());
+  const auto f32 = predict(art, nn::Precision::f32, all_regions());
   ASSERT_EQ(ref.size(), f32.size());
 
   int flips = 0;
@@ -127,21 +134,14 @@ TEST_F(PrecisionFixture, F32TierAccuracyCloseToF64) {
   EXPECT_LE(flips, static_cast<int>(ref.size()) / 20)
       << flips << " of " << ref.size() << " predictions flipped";
 
-  // f64 must be the unchanged reference: a second f64 engine from the
+  // f64 must be the unchanged reference: a second f64 service from the
   // same artifact reproduces it bit for bit.
-  serve::InferenceEngine f64_again(core::PnpTuner::from_artifact(*db_, art),
-                                   at(nn::Precision::f64));
-  const auto ref2 = f64_again.predict_power_batch(grid);
+  const auto ref2 = predict(art, nn::Precision::f64, all_regions());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], ref2[i]);
 }
 
 TEST_F(PrecisionFixture, EvaluatorPrecisionDeltaBoundsTheTier) {
   const auto art = trained_power_artifact();
-  serve::InferenceEngine f64_engine(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f64));
-  serve::InferenceEngine f32_engine(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f32));
-
   core::Evaluator evaluator(*sim_, *db_);
   core::EvalSplit split;
   split.name = "tier-diff";
@@ -151,14 +151,11 @@ TEST_F(PrecisionFixture, EvaluatorPrecisionDeltaBoundsTheTier) {
 
   // precision_delta scores one config per queries() entry, in order:
   // test_regions × all caps.
-  std::vector<serve::PowerQuery> grid;
-  for (const int r : split.test_regions)
-    for (int k = 0; k < db_->num_caps(); ++k) grid.push_back({r, k});
-  const auto ref = f64_engine.predict_power_batch(grid);
-  const auto f32 = f32_engine.predict_power_batch(grid);
+  const auto ref = predict(art, nn::Precision::f64, split.test_regions);
+  const auto f32 = predict(art, nn::Precision::f32, split.test_regions);
 
   const auto d = evaluator.precision_delta(split, ref, f32);
-  EXPECT_EQ(d.queries, static_cast<int>(grid.size()));
+  EXPECT_EQ(d.queries, static_cast<int>(ref.size()));
   EXPECT_EQ(d.flips <= d.queries, true);
   EXPECT_GE(d.flip_rate, 0.0);
   EXPECT_LE(d.flip_rate, 0.05);
@@ -204,10 +201,8 @@ TEST_F(PrecisionFixture, ServicePrecisionOverrideAndMixedReload) {
   const auto after = svc.tune(q);
   EXPECT_EQ(after.model_version, 2u);
   // Same weights, narrower tier: the served config must match what a
-  // standalone f32 engine predicts.
-  serve::InferenceEngine f32_engine(core::PnpTuner::from_artifact(*db_, art),
-                                    at(nn::Precision::f32));
-  EXPECT_EQ(after.config, f32_engine.predict_power(0, 0));
+  // fresh f32 service predicts.
+  EXPECT_EQ(after.config, predict(art, nn::Precision::f32, {0}).front());
 
   // A service-level override beats both artifacts' preferences.
   serve::TuningServiceOptions pinned;

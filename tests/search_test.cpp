@@ -14,7 +14,6 @@
 #include "core/pnp_tuner.hpp"
 #include "core/search_space.hpp"
 #include "core/tuner_artifact.hpp"
-#include "serve/inference_engine.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
@@ -340,7 +339,7 @@ MeasurementDb small_db(const hw::MachineModel& m, const SearchSpace& space) {
   return MeasurementDb(sim::Simulator(m), space, regions);
 }
 
-TEST(ModelGuidedServing, EngineMatchesTunerOnExtendedSpace) {
+TEST(ModelGuidedServing, ServiceMatchesTunerOnExtendedSpace) {
   const auto m = hw::MachineModel::haswell();
   const auto space = SearchSpace::extended_for_machine(m);
   const MeasurementDb db = small_db(m, space);
@@ -352,37 +351,32 @@ TEST(ModelGuidedServing, EngineMatchesTunerOnExtendedSpace) {
   tuner.train_power_scenario(all);
 
   // The tuner's own predictions (full-width search) are the reference;
-  // the engine must match at full width through both scratch paths.
-  std::vector<sim::OmpConfig> ref;
+  // the service must match them at full width.
+  std::vector<serve::TuneRequest> grid;
   for (int r = 0; r < db.num_regions(); ++r)
     for (int k = 0; k < db.num_caps(); ++k)
-      ref.push_back(tuner.predict_power(r, k));
-
-  for (const bool use_arena : {true, false}) {
-    serve::EngineOptions eopt;
-    eopt.use_arena = use_arena;
-    serve::InferenceEngine engine(PnpTuner::from_artifact(db, tuner.to_artifact()),
-                                  eopt);
-    std::size_t i = 0;
-    for (int r = 0; r < db.num_regions(); ++r)
-      for (int k = 0; k < db.num_caps(); ++k)
-        EXPECT_EQ(engine.predict_power(r, k), ref[i++])
-            << "region " << r << " cap " << k << " arena " << use_arena;
-  }
+      grid.push_back(serve::TuneRequest::power(r, k));
+  serve::TuningService service(
+      PnpTuner::from_artifact(db, tuner.to_artifact()));
+  const auto got = service.tune_batch(grid);
+  ASSERT_EQ(got.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    EXPECT_EQ(got[i].config,
+              tuner.predict_power(grid[i].region, grid[i].cap_index))
+        << "region " << grid[i].region << " cap " << grid[i].cap_index;
 
   // A narrow beam still serves valid configs at every cap.
-  serve::EngineOptions narrow;
+  serve::TuningServiceOptions narrow;
   narrow.beam_width = 2;
-  serve::InferenceEngine engine(PnpTuner::from_artifact(db, tuner.to_artifact()),
-                                narrow);
-  for (int r = 0; r < db.num_regions(); ++r)
-    for (int k = 0; k < db.num_caps(); ++k)
-      EXPECT_TRUE(space.is_valid(
-          engine.predict_power(r, k),
-          space.power_caps()[static_cast<std::size_t>(k)]));
+  serve::TuningService narrow_service(
+      PnpTuner::from_artifact(db, tuner.to_artifact()), narrow);
+  for (const serve::TuneRequest& q : grid)
+    EXPECT_TRUE(space.is_valid(
+        narrow_service.tune(q).config,
+        space.power_caps()[static_cast<std::size_t>(q.cap_index)]));
 }
 
-TEST(ModelGuidedServing, EdpEngineMatchesTunerOnExtendedSpace) {
+TEST(ModelGuidedServing, EdpServiceMatchesTunerOnExtendedSpace) {
   const auto m = hw::MachineModel::haswell();
   const auto space = SearchSpace::extended_for_machine(m);
   const MeasurementDb db = small_db(m, space);
@@ -396,14 +390,15 @@ TEST(ModelGuidedServing, EdpEngineMatchesTunerOnExtendedSpace) {
   std::vector<PnpTuner::JointChoice> ref;
   for (int r = 0; r < db.num_regions(); ++r) ref.push_back(tuner.predict_edp(r));
 
-  serve::InferenceEngine engine(
+  serve::TuningService service(
       PnpTuner::from_artifact(db, tuner.to_artifact()));
   for (int r = 0; r < db.num_regions(); ++r) {
-    const auto jc = engine.predict_edp(r);
-    EXPECT_EQ(jc.cap_index, ref[static_cast<std::size_t>(r)].cap_index);
-    EXPECT_EQ(jc.cfg, ref[static_cast<std::size_t>(r)].cfg);
+    const auto res = service.tune(serve::TuneRequest::edp(r));
+    EXPECT_EQ(res.cap_index, ref[static_cast<std::size_t>(r)].cap_index);
+    EXPECT_EQ(res.config, ref[static_cast<std::size_t>(r)].cfg);
     EXPECT_TRUE(space.is_valid(
-        jc.cfg, space.power_caps()[static_cast<std::size_t>(jc.cap_index)]));
+        res.config,
+        space.power_caps()[static_cast<std::size_t>(res.cap_index)]));
   }
 }
 

@@ -11,11 +11,13 @@
 /// it, which is exactly what the release/acquire ordering plus the
 /// "requests loaded last" read order buys. At quiescence both turn into
 /// the equalities service_test already asserts. Snapshot readers race
-/// real tuners on the leader/follower path, the coalescing path, and
-/// the worker-shard path.
+/// real tuners on the leader/follower path, the coalescing path, the
+/// worker-shard path, and caller-formed tune_batch calls, empty batches
+/// included (an empty batch must count nothing).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -30,6 +32,8 @@ namespace {
 constexpr int kTuners = 6;
 constexpr int kReaders = 2;
 constexpr int kRequestsPerTuner = 400;
+/// tune_batch sizes a batched tuner cycles through.
+constexpr int kBatchSizes[] = {0, 1, 3};
 
 class StatsConsistencyFixture : public ::testing::Test {
  protected:
@@ -61,8 +65,10 @@ class StatsConsistencyFixture : public ::testing::Test {
   /// Hammer `service` with kTuners threads while kReaders threads pull
   /// stats() snapshots as fast as they can. Violations are counted, not
   /// asserted, inside the threads (TSan-clean gtest usage); the main
-  /// thread asserts after join.
-  static void hammer_and_check(TuningService& service) {
+  /// thread asserts after join. Each tuner sends kRequestsPerTuner
+  /// requests, one tune() each or, when `batched`, through tune_batch
+  /// calls of kBatchSizes requests in turn.
+  static void hammer_and_check(TuningService& service, bool batched = false) {
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> hits_lead{0}, batch_lead{0}, snapshots{0};
 
@@ -84,11 +90,22 @@ class StatsConsistencyFixture : public ::testing::Test {
     std::vector<std::thread> tuners;
     tuners.reserve(kTuners);
     for (int t = 0; t < kTuners; ++t) {
-      tuners.emplace_back([&service, t] {
-        for (int i = 0; i < kRequestsPerTuner; ++i) {
-          const int region = (t * 31 + i) % service.db().num_regions();
-          const int cap = (t + i) % service.db().num_caps();
-          service.tune(TuneRequest::power(region, cap));
+      tuners.emplace_back([&service, t, batched] {
+        const auto request = [&](int i) {
+          return TuneRequest::power((t * 31 + i) % service.db().num_regions(),
+                                    (t + i) % service.db().num_caps());
+        };
+        if (!batched) {
+          for (int i = 0; i < kRequestsPerTuner; ++i) service.tune(request(i));
+          return;
+        }
+        std::vector<TuneRequest> batch;
+        for (int call = 0, sent = 0; sent < kRequestsPerTuner; ++call) {
+          const int size = std::min(kBatchSizes[call % std::size(kBatchSizes)],
+                                    kRequestsPerTuner - sent);
+          batch.clear();
+          for (int j = 0; j < size; ++j) batch.push_back(request(sent++));
+          service.tune_batch(batch);
         }
       });
     }
@@ -138,6 +155,11 @@ TEST_F(StatsConsistencyFixture, WorkerShardPathNeverLeads) {
   opt.worker_shards = 3;
   TuningService service(*db_, model_path_, opt);
   hammer_and_check(service);
+}
+
+TEST_F(StatsConsistencyFixture, TuneBatchPathNeverLeads) {
+  TuningService service(*db_, model_path_);
+  hammer_and_check(service, /*batched=*/true);
 }
 
 }  // namespace

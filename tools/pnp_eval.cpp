@@ -9,8 +9,8 @@
 /// End-to-end flow: procedurally generate a corpus of --regions OpenMP
 /// regions (workloads::Generator), build one MeasurementDb over paper
 /// suite + generated corpus, then train/evaluate the §IV split axes via
-/// core::Evaluator with predictions served through the batched
-/// serve::InferenceEngine:
+/// core::Evaluator with predictions served through
+/// serve::TuningService::tune_batch:
 ///
 ///   - unseen-app:          train on the 68 paper regions, test on every
 ///                          generated region (all apps unseen);
@@ -47,7 +47,7 @@
 #include "core/fleet.hpp"
 #include "core/tuner_artifact.hpp"
 #include "hw/machine_generator.hpp"
-#include "serve/inference_engine.hpp"
+#include "serve/tuning_service.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/suite.hpp"
 
@@ -135,13 +135,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-core::SearchSpace space_for(const std::string& name,
-                            const hw::MachineModel& m) {
-  if (name == "table1") return core::SearchSpace::for_machine(m);
-  if (name == "extended") return core::SearchSpace::extended_for_machine(m);
-  throw Error("unknown space '" + name + "' (expected table1 or extended)");
-}
-
 bool factored_for(const std::string& heads) {
   if (heads == "factored") return true;
   if (heads == "dense") return false;
@@ -154,30 +147,24 @@ std::string hex_fingerprint(std::uint64_t fp) {
   return buf;
 }
 
-/// Serve one split's test grid through the batched engine, in the
-/// row-major (region, cap) order core::Evaluator::score expects.
+/// Serve one split's test grid as one batch, in the row-major
+/// (region, cap) order core::Evaluator::score expects. Held-out-cap
+/// splits ask at the cap in watts (scalar-cap models).
 std::vector<sim::OmpConfig> predict_split(const core::Evaluator& evaluator,
                                           const core::EvalSplit& split,
-                                          serve::InferenceEngine& engine,
+                                          serve::TuningService& service,
                                           const std::vector<double>& caps_w) {
-  const auto qs = evaluator.queries(split);
-  if (split.train_cap_indices.empty()) {
-    std::vector<serve::PowerQuery> pq;
-    pq.reserve(qs.size());
-    for (const auto& q : qs) pq.push_back({q.region, q.cap_index});
-    return engine.predict_power_batch(pq);
-  }
-  // Held-out caps: one scalar-cap batch per evaluated cap, interleaved
-  // back into query order (queries() is row-major test_regions × caps).
-  const std::vector<int> eval_caps = evaluator.eval_caps(split);
-  const std::size_t C = eval_caps.size();
-  std::vector<sim::OmpConfig> configs(qs.size());
-  for (std::size_t c = 0; c < C; ++c) {
-    const auto out = engine.predict_power_at_batch(
-        split.test_regions,
-        caps_w[static_cast<std::size_t>(eval_caps[c])]);
-    for (std::size_t r = 0; r < out.size(); ++r) configs[r * C + c] = out[r];
-  }
+  const bool at_watts = !split.train_cap_indices.empty();
+  std::vector<serve::TuneRequest> batch;
+  for (const auto& q : evaluator.queries(split))
+    batch.push_back(
+        at_watts ? serve::TuneRequest::power_at(
+                       q.region, caps_w[static_cast<std::size_t>(q.cap_index)])
+                 : serve::TuneRequest::power(q.region, q.cap_index));
+  std::vector<sim::OmpConfig> configs;
+  configs.reserve(batch.size());
+  for (const serve::TuneResult& r : service.tune_batch(batch))
+    configs.push_back(r.config);
   return configs;
 }
 
@@ -233,7 +220,7 @@ void emit_split(JsonWriter& w, const core::EvalSplit& split,
 int run(const Args& a) {
   const auto machine = hw::machine_by_name(a.machine);
   const sim::Simulator sim(machine);
-  const auto space = space_for(a.space, machine);
+  const auto space = core::SearchSpace::by_name(a.space, machine);
 
   workloads::GeneratorOptions gopt;
   gopt.seed = a.seed;
@@ -290,34 +277,34 @@ int run(const Args& a) {
     std::vector<sim::OmpConfig> configs;
     if (i == 0) {
       // The unseen-app split doubles as the f32-tier acceptance gate:
-      // stamp an f64 reference engine and an f32 candidate engine from
+      // stamp an f64 reference service and an f32 candidate service from
       // ONE artifact of the same trained model (an in-memory round trip —
       // exactly what reload deserializes), serve the identical grid
       // through both, and diff. The reference grid is also the split's
       // scored prediction set, so the f64 path stays the single source of
       // truth for the headline metrics.
       const core::TunerArtifact art = tuner.to_artifact();
-      serve::EngineOptions ref_opt, f32_opt;
+      serve::TuningServiceOptions ref_opt, f32_opt;
       ref_opt.precision = nn::Precision::f64;
       f32_opt.precision = nn::Precision::f32;
       ref_opt.beam_width = f32_opt.beam_width = a.beam_width;
-      serve::InferenceEngine ref_engine(core::PnpTuner::from_artifact(db, art),
-                                        ref_opt);
-      serve::InferenceEngine f32_engine(core::PnpTuner::from_artifact(db, art),
-                                        f32_opt);
-      configs = predict_split(evaluator, split, ref_engine, caps_w);
+      serve::TuningService ref_service(core::PnpTuner::from_artifact(db, art),
+                                       ref_opt);
+      serve::TuningService f32_service(core::PnpTuner::from_artifact(db, art),
+                                       f32_opt);
+      configs = predict_split(evaluator, split, ref_service, caps_w);
       const auto f32_configs =
-          predict_split(evaluator, split, f32_engine, caps_w);
+          predict_split(evaluator, split, f32_service, caps_w);
       pdelta = evaluator.precision_delta(split, configs, f32_configs);
       std::fprintf(stderr,
                    "f32 tier: %d/%d flips (%.4f), max |dPower| %.4f W\n",
                    pdelta.flips, pdelta.queries, pdelta.flip_rate,
                    pdelta.max_abs_dpower_w);
     } else {
-      serve::EngineOptions eng_opt;
-      eng_opt.beam_width = a.beam_width;
-      serve::InferenceEngine engine(std::move(tuner), eng_opt);
-      configs = predict_split(evaluator, split, engine, caps_w);
+      serve::TuningServiceOptions opt;
+      opt.beam_width = a.beam_width;
+      serve::TuningService service(std::move(tuner), opt);
+      configs = predict_split(evaluator, split, service, caps_w);
     }
     results.push_back(evaluator.score(split, configs));
     const auto& res = results.back();

@@ -64,6 +64,7 @@
 #include "common/rng.hpp"
 #include "core/measurement_db.hpp"
 #include "hw/machine_generator.hpp"
+#include "nn/matrix.hpp"
 #include "serve/protocol.hpp"
 #include "workloads/suite.hpp"
 
@@ -144,7 +145,7 @@ Args parse_args(int argc, char** argv) {
         a.tenants = parse_int(value(), "--tenants", 1, 256);
       else if (flag == "--precision") {
         a.precision = value();
-        if (a.precision != "f64" && a.precision != "f32") usage(argv[0]);
+        if (!nn::precision_from_name(a.precision)) usage(argv[0]);
       }
       else if (flag == "--reload") a.reload_path = value();
       else if (flag == "--reload-after")

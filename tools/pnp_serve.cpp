@@ -115,13 +115,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-core::SearchSpace space_for(const std::string& name,
-                            const hw::MachineModel& m) {
-  if (name == "table1") return core::SearchSpace::for_machine(m);
-  if (name == "extended") return core::SearchSpace::extended_for_machine(m);
-  throw Error("unknown space '" + name + "' (expected table1 or extended)");
-}
-
 struct Op {
   bool is_reload = false;
   bool is_observe = false;
@@ -262,8 +255,9 @@ void print_grid(const std::vector<Op>& ops,
 int run(const Args& a) {
   const auto machine = hw::machine_by_name(a.machine);
   const sim::Simulator sim(machine);
-  const core::MeasurementDb db(sim, space_for(a.space, machine),
-                               workloads::Suite::instance().all_regions());
+  const core::MeasurementDb db(
+      sim, core::SearchSpace::by_name(a.space, machine),
+      workloads::Suite::instance().all_regions());
   serve::TuningService service(db, a.model_path, a.service);
   std::fprintf(stderr, "serving %s v%llu with %d threads\n",
                a.model_path.c_str(),

@@ -130,9 +130,9 @@ Args parse_args(int argc, char** argv) {
         a.service.cache_shards = parse_int(value(), "--cache-stripes", 1, 4096);
       else if (flag == "--precision") {
         const std::string p = value();
-        if (p == "f64") a.service.precision = nn::Precision::f64;
-        else if (p == "f32") a.service.precision = nn::Precision::f32;
-        else throw Error("bad --precision '" + p + "' (expected f64 or f32)");
+        a.service.precision = nn::precision_from_name(p);
+        if (!a.service.precision)
+          throw Error("bad --precision '" + p + "' (expected f64 or f32)");
       }
       else if (flag == "--max-batch")
         a.service.max_batch = parse_int(value(), "--max-batch", 1, 1 << 20);

@@ -10,7 +10,7 @@
 /// `train` trains a tuner on every region of the machine's measurement db,
 /// saves the versioned artifact, and dumps the model's predictions for the
 /// whole (region × cap) grid. `predict` reloads the artifact in a fresh
-/// process and dumps the same grid through the batched InferenceEngine —
+/// process and dumps the same grid as one TuningService::tune_batch —
 /// the two dumps must be byte-identical (CI diffs them). `info` prints the
 /// artifact metadata without needing a measurement db.
 
@@ -25,7 +25,7 @@
 #include "common/parse.hpp"
 #include "core/tuner_artifact.hpp"
 #include "hw/machine_generator.hpp"
-#include "serve/inference_engine.hpp"
+#include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
 using namespace pnp;
@@ -45,12 +45,6 @@ struct Args {
   std::string space = "table1";    // table1 | extended
   int beam_width = 0;              // <= 0 = full-width (exact) search
 };
-
-nn::Precision precision_for(const std::string& name) {
-  if (name == "f64") return nn::Precision::f64;
-  if (name == "f32") return nn::Precision::f32;
-  throw Error("unknown precision '" + name + "' (expected f64 or f32)");
-}
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -101,13 +95,6 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-core::SearchSpace space_for(const std::string& name,
-                            const hw::MachineModel& m) {
-  if (name == "table1") return core::SearchSpace::for_machine(m);
-  if (name == "extended") return core::SearchSpace::extended_for_machine(m);
-  throw Error("unknown space '" + name + "' (expected table1 or extended)");
-}
-
 bool factored_for(const std::string& heads) {
   if (heads == "factored") return true;
   if (heads == "dense") return false;
@@ -116,34 +103,31 @@ bool factored_for(const std::string& heads) {
 
 /// Dump predictions over the full query grid in a stable text format —
 /// the train-process and fresh-process outputs are diffed byte for byte.
-void dump_predictions(serve::InferenceEngine& engine, std::ostream& os) {
-  const core::MeasurementDb& db = engine.tuner().db();
-  if (engine.tuner().mode() == core::PnpTuner::Mode::Power) {
-    std::vector<serve::PowerQuery> queries;
-    for (int r = 0; r < db.num_regions(); ++r)
-      for (int k = 0; k < db.num_caps(); ++k) queries.push_back({r, k});
-    const auto configs = engine.predict_power_batch(queries);
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      os << "region=" << queries[i].region << " cap=" << queries[i].cap_index
-         << " " << configs[i].to_string() << "\n";
-  } else {
-    std::vector<int> regions;
-    for (int r = 0; r < db.num_regions(); ++r) regions.push_back(r);
-    const auto choices = engine.predict_edp_batch(regions);
-    for (std::size_t i = 0; i < regions.size(); ++i)
-      os << "region=" << regions[i] << " cap*=" << choices[i].cap_index << " "
-         << choices[i].cfg.to_string() << "\n";
+void dump_predictions(serve::TuningService& service, std::ostream& os) {
+  const core::MeasurementDb& db = service.db();
+  const bool power = service.mode() == core::PnpTuner::Mode::Power;
+  std::vector<serve::TuneRequest> batch;
+  for (int r = 0; r < db.num_regions(); ++r) {
+    if (!power) batch.push_back(serve::TuneRequest::edp(r));
+    else
+      for (int k = 0; k < db.num_caps(); ++k)
+        batch.push_back(serve::TuneRequest::power(r, k));
   }
+  const auto results = service.tune_batch(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    os << "region=" << batch[i].region
+       << (power ? " cap=" : " cap*=") << results[i].cap_index << " "
+       << results[i].config.to_string() << "\n";
 }
 
-void dump_to(serve::InferenceEngine& engine, const std::string& path) {
+void dump_to(serve::TuningService& service, const std::string& path) {
   if (path.empty()) {
-    dump_predictions(engine, std::cout);
+    dump_predictions(service, std::cout);
     return;
   }
   std::ofstream os(path);
   PNP_CHECK_MSG(os.is_open(), "cannot open '" << path << "' for writing");
-  dump_predictions(engine, os);
+  dump_predictions(service, os);
   os.flush();
   PNP_CHECK_MSG(os.good(), "writing '" << path << "' failed");
 }
@@ -152,8 +136,9 @@ int cmd_train(const Args& a) {
   if (a.model_path.empty()) throw Error("train needs --out MODEL");
   const auto machine = hw::machine_by_name(a.machine);
   const sim::Simulator sim(machine);
-  const core::MeasurementDb db(sim, space_for(a.space, machine),
-                               workloads::Suite::instance().all_regions());
+  const core::MeasurementDb db(
+      sim, core::SearchSpace::by_name(a.space, machine),
+      workloads::Suite::instance().all_regions());
   core::PnpOptions opt;
   opt.trainer.max_epochs = a.epochs;
   // Scalar-cap models additionally serve arbitrary-watt power_at queries
@@ -174,17 +159,22 @@ int cmd_train(const Args& a) {
 
   // Stamp the preferred serving tier into the artifact ("serve.precision"):
   // loaders that don't override precision will serve at this tier.
-  if (!a.precision.empty())
-    tuner.set_serve_precision(precision_for(a.precision));
+  if (!a.precision.empty()) {
+    const auto p = nn::precision_from_name(a.precision);
+    if (!p)
+      throw Error("unknown precision '" + a.precision +
+                  "' (expected f64 or f32)");
+    tuner.set_serve_precision(*p);
+  }
   tuner.save(a.model_path);
   std::fprintf(stderr, "saved artifact -> %s (serve precision %s)\n",
                a.model_path.c_str(),
                nn::precision_name(tuner.serve_precision()));
 
-  serve::EngineOptions eopt;
-  eopt.beam_width = a.beam_width;
-  serve::InferenceEngine engine(std::move(tuner), eopt);
-  dump_to(engine, a.predictions_path);
+  serve::TuningServiceOptions sopt;
+  sopt.beam_width = a.beam_width;
+  serve::TuningService service(std::move(tuner), sopt);
+  dump_to(service, a.predictions_path);
   return 0;
 }
 
@@ -192,15 +182,16 @@ int cmd_predict(const Args& a) {
   if (a.model_path.empty()) throw Error("predict needs --model MODEL");
   const auto machine = hw::machine_by_name(a.machine);
   const sim::Simulator sim(machine);
-  const core::MeasurementDb db(sim, space_for(a.space, machine),
-                               workloads::Suite::instance().all_regions());
-  serve::EngineOptions eopt;
-  eopt.beam_width = a.beam_width;
-  serve::InferenceEngine engine(db, a.model_path, eopt);
+  const core::MeasurementDb db(
+      sim, core::SearchSpace::by_name(a.space, machine),
+      workloads::Suite::instance().all_regions());
+  serve::TuningServiceOptions sopt;
+  sopt.beam_width = a.beam_width;
+  serve::TuningService service(db, a.model_path, sopt);
   std::fprintf(stderr, "loaded artifact %s (%zu regions)\n",
                a.model_path.c_str(),
                static_cast<std::size_t>(db.num_regions()));
-  dump_to(engine, a.predictions_path);
+  dump_to(service, a.predictions_path);
   return 0;
 }
 
