@@ -344,14 +344,30 @@ void BM_PredictBatch(benchmark::State& state, nn::Precision precision) {
 BENCHMARK_CAPTURE(BM_PredictBatch, f64, nn::Precision::f64);
 BENCHMARK_CAPTURE(BM_PredictBatch, f32, nn::Precision::f32);
 
-/// Saturation-curve body shared by the per-precision and sharded service
-/// benchmarks: N caller threads issue single power queries against one
-/// TuningService; items_per_second is the served query rate. Run at
-/// 1/2/4/8 threads the curve shows where each serving mode saturates
-/// (numbers in docs/BENCHMARKS.md).
-void service_throughput(benchmark::State& state, serve::TuningService& svc) {
+/// The service each saturation-curve row drives, one per precision tier
+/// (function-local statics: built once, thread-safely, by whichever
+/// benchmark thread gets there first).
+serve::TuningService& service_for(nn::Precision precision) {
+  const auto make = [](nn::Precision p) {
+    serve::TuningServiceOptions sopt;
+    sopt.precision = p;
+    return new serve::TuningService(
+        core::PnpTuner::from_artifact(serving_db(), serving_artifact()), sopt);
+  };
+  static serve::TuningService* f64_svc = make(nn::Precision::f64);
+  static serve::TuningService* f32_svc = make(nn::Precision::f32);
+  return precision == nn::Precision::f32 ? *f32_svc : *f64_svc;
+}
+
+/// Saturation curve per precision tier: N caller threads issue single
+/// power queries against one TuningService, each served on its caller's
+/// thread; items_per_second is the served query rate. Run at 1/2/4/8
+/// threads the curve shows where the service saturates (numbers in
+/// docs/BENCHMARKS.md).
+void BM_ServiceThroughput(benchmark::State& state, nn::Precision precision) {
+  serve::TuningService& svc = service_for(precision);
   // Round-robin over 16 held-out regions × all caps; offset per thread so
-  // concurrent callers hit different shards.
+  // concurrent callers hit different cache stripes.
   int i = state.thread_index() * 7;
   for (auto _ : state) {
     const serve::TuneRequest q = serve::TuneRequest::power(
@@ -361,33 +377,10 @@ void service_throughput(benchmark::State& state, serve::TuningService& svc) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-serve::TuningService& service_for(nn::Precision precision, int worker_shards) {
-  const auto make = [](nn::Precision p, int shards) {
-    serve::TuningServiceOptions sopt;
-    sopt.precision = p;
-    sopt.worker_shards = shards;
-    return new serve::TuningService(
-        core::PnpTuner::from_artifact(serving_db(), serving_artifact()), sopt);
-  };
-  static serve::TuningService* f64_svc = make(nn::Precision::f64, 0);
-  static serve::TuningService* f32_svc = make(nn::Precision::f32, 0);
-  static serve::TuningService* sharded_svc = make(nn::Precision::f64, 2);
-  if (worker_shards > 0) return *sharded_svc;
-  return precision == nn::Precision::f32 ? *f32_svc : *f64_svc;
-}
-
-void BM_ServiceThroughput(benchmark::State& state, nn::Precision precision,
-                          int worker_shards) {
-  service_throughput(state, service_for(precision, worker_shards));
-}
-BENCHMARK_CAPTURE(BM_ServiceThroughput, f64, nn::Precision::f64, 0)
+BENCHMARK_CAPTURE(BM_ServiceThroughput, f64, nn::Precision::f64)
     ->ThreadRange(1, 8)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ServiceThroughput, f32, nn::Precision::f32, 0)
-    ->ThreadRange(1, 8)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ServiceThroughput, sharded, nn::Precision::f64, 2)
+BENCHMARK_CAPTURE(BM_ServiceThroughput, f32, nn::Precision::f32)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 

@@ -28,12 +28,9 @@ namespace pnp {
 
 /// Shard index a 64-bit key maps to among `n` shards. Mixes the bits
 /// (splitmix64 finalizer) so both dense keys (region ids 0,1,2,…) and
-/// pointer-like keys spread evenly. This is THE routing function of the
-/// serving layer: StripedSharedMutex::stripe_of delegates here, and
-/// serve::TuningService routes requests to worker shards with it — so a
-/// service whose cache stripe count equals its worker count sends a
-/// region's requests and its cache entry to the same index (one worker
-/// per stripe → no cross-worker lock contention at steady state).
+/// pointer-like keys spread evenly. StripedSharedMutex::stripe_of
+/// delegates here, so it picks the lock stripe of every region in
+/// serve::TuningService's encoding cache.
 inline std::size_t shard_of_key(std::uint64_t key, std::size_t n) {
   PNP_CHECK_MSG(n > 0, "shard_of_key needs at least one shard");
   key ^= key >> 30;

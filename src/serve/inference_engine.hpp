@@ -7,8 +7,8 @@
 /// caller-owned cache, run the dense heads in a caller-owned arena
 /// Workspace, decode the predictions. serve::TuningService is the one
 /// front end over them (single requests and caller-formed batches, a
-/// sharded readout cache), and hot reload is "publish a new ModelState
-/// snapshot".
+/// lock-striped readout cache), and hot reload is "publish a new
+/// ModelState snapshot".
 ///
 /// See docs/SERVING.md for the end-to-end flow (pnp_tune CLI → artifact →
 /// service → server).

@@ -37,7 +37,10 @@
 ///            attempts, published, rejected_gate, rejected_candidate,
 ///            rejected_log, last_published_version} retrain counters
 ///            (all zero when the daemon runs without a retrain
-///            controller), then the common::LatencyHistogram wire form
+///            controller), then the common::LatencyHistogram wire form.
+///            The server calls TuningService::tune once per tune request,
+///            so on the wire path batches == requests and coalesced
+///            stays 0; only in-process tune_batch callers coalesce
 ///     6:     u64 seq — the measurement's 1-based sequence number in the
 ///            durable log (the append is flushed before this reply is
 ///            written)

@@ -12,11 +12,12 @@
 ///    truncated length prefix, an oversized length claim, a mid-frame
 ///    disconnect) the connection is closed, while every other connection
 ///    keeps serving;
-///  - **a bounded admission queue** drained by a fixed worker pool.
-///    Backpressure is explicit: when the queue is full the reader replies
-///    with a shed frame immediately — the server never buffers without
-///    bound, and a load generator sees exactly how much traffic was
-///    refused;
+///  - **a bounded admission queue** drained by a fixed worker pool — the
+///    only scheduler on the serving path: each worker serves its request
+///    on its own thread through TuningService::tune. Backpressure is
+///    explicit: when the queue is full the reader replies with a shed
+///    frame immediately — the server never buffers without bound, and a
+///    load generator sees exactly how much traffic was refused;
 ///  - **graceful drain**: shutdown() closes the listener first, stops
 ///    admitting (late arrivals get shed frames), lets every accepted
 ///    request finish and flush its reply, then closes connections with a

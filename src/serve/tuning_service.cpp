@@ -1,14 +1,7 @@
 #include "serve/tuning_service.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "core/tuner_artifact.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace pnp::serve {
 
@@ -24,33 +17,16 @@ namespace {
 constexpr auto kRelease = std::memory_order_release;
 constexpr auto kAcquire = std::memory_order_acquire;
 
-/// Best-effort: pin `t` to CPU `cpu` mod hardware_concurrency. Failures
-/// (cgroup-restricted affinity masks, non-Linux hosts) are ignored —
-/// pinning is a locality hint, never a correctness requirement.
-void pin_to_cpu(std::thread& t, unsigned cpu) {
-#if defined(__linux__)
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % hw, &set);
-  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)cpu;
-#endif
-}
-
 }  // namespace
 
 // --- Snapshot ----------------------------------------------------------------
 
 TuningService::Snapshot::Snapshot(core::PnpTuner tuner,
                                   std::optional<nn::Precision> precision,
-                                  int beam_width, std::size_t shard_count,
+                                  int beam_width,
                                   std::shared_ptr<Counters> ctrs)
     : model(std::move(tuner), precision, beam_width),
-      locks(shard_count),
-      shards(shard_count),
+      shards(kCacheStripes),
       counters(std::move(ctrs)) {}
 
 const Encoding& TuningService::Snapshot::encoding(
@@ -154,7 +130,6 @@ TuningService::TuningService(const core::MeasurementDb& db,
     std::lock_guard<std::mutex> rl(reload_mu_);
     publish_locked(core::PnpTuner::load(db_, artifact_path));
   }
-  start_workers();
 }
 
 TuningService::TuningService(core::PnpTuner tuner,
@@ -165,93 +140,15 @@ TuningService::TuningService(core::PnpTuner tuner,
     std::lock_guard<std::mutex> rl(reload_mu_);
     publish_locked(std::move(tuner));
   }
-  start_workers();
-}
-
-TuningService::~TuningService() {
-  for (auto& w : workers_) {
-    std::lock_guard<std::mutex> lk(w->mu);
-    w->stop = true;
-    w->cv.notify_all();
-  }
-  for (auto& w : workers_)
-    if (w->thread.joinable()) w->thread.join();
-}
-
-std::size_t TuningService::shard_count() const {
-  // Worker mode stripes the cache to exactly the worker count so a
-  // region's cache stripe and its worker coincide (see shard_of_key).
-  if (opt_.worker_shards > 0)
-    return static_cast<std::size_t>(opt_.worker_shards);
-  return static_cast<std::size_t>(std::max(1, opt_.cache_shards));
 }
 
 std::uint64_t TuningService::publish_locked(core::PnpTuner tuner) {
   // ModelState's constructor rejects untrained tuners, so an invalid
   // candidate throws here, before anything is published.
   auto snap = std::make_shared<Snapshot>(std::move(tuner), opt_.precision,
-                                         opt_.beam_width, shard_count(),
-                                         counters_);
+                                         opt_.beam_width, counters_);
   snap->version = snapshot_.version() + 1;
-  const std::uint64_t published = snapshot_.publish(std::move(snap));
-  return published;
-}
-
-void TuningService::start_workers() {
-  if (opt_.worker_shards <= 0) return;
-  workers_.reserve(static_cast<std::size_t>(opt_.worker_shards));
-  for (int i = 0; i < opt_.worker_shards; ++i) {
-    workers_.push_back(std::make_unique<WorkerShard>());
-    WorkerShard& w = *workers_.back();
-    w.thread = std::thread([this, &w] { worker_loop(w); });
-    if (opt_.pin_workers) pin_to_cpu(w.thread, static_cast<unsigned>(i));
-  }
-}
-
-void TuningService::worker_loop(WorkerShard& w) {
-  const std::size_t max_batch =
-      static_cast<std::size_t>(std::max(1, opt_.max_batch));
-  std::vector<Pending*> batch;
-  std::unique_lock<std::mutex> lk(w.mu);
-  for (;;) {
-    w.cv.wait(lk, [&] { return w.stop || !w.queue.empty(); });
-    if (w.queue.empty()) return;  // stop && drained
-    const auto take = static_cast<std::ptrdiff_t>(
-        std::min(w.queue.size(), max_batch));
-    batch.assign(w.queue.begin(), w.queue.begin() + take);
-    w.queue.erase(w.queue.begin(), w.queue.begin() + take);
-    lk.unlock();
-    counters_->batches.fetch_add(1, kRelease);
-    counters_->coalesced.fetch_add(batch.size() - 1, kRelease);
-    // One snapshot per drained batch — same atomicity contract as the
-    // leader/follower path.
-    const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
-    for (Pending* p : batch) {
-      try {
-        p->result = snap->serve(*p->req, w.ctx);
-      } catch (...) {
-        p->error = std::current_exception();
-      }
-    }
-    lk.lock();
-    for (Pending* p : batch) p->done = true;
-    w.cv.notify_all();
-  }
-}
-
-TuneResult TuningService::tune_sharded(const TuneRequest& request) {
-  WorkerShard& w = *workers_[shard_of_key(
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(request.region)),
-      workers_.size())];
-  Pending p;
-  p.req = &request;
-  std::unique_lock<std::mutex> lk(w.mu);
-  w.queue.push_back(&p);
-  w.cv.notify_all();
-  w.cv.wait(lk, [&] { return p.done; });
-  lk.unlock();
-  if (p.error) std::rethrow_exception(p.error);
-  return p.result;
+  return snapshot_.publish(std::move(snap));
 }
 
 std::uint64_t TuningService::reload(const std::string& artifact_path) {
@@ -286,75 +183,12 @@ std::size_t TuningService::cached_encodings() const {
   return snapshot_.current().value->cached();
 }
 
-void TuningService::run_batch(const std::vector<Pending*>& batch) {
-  counters_->batches.fetch_add(1, kRelease);
-  counters_->coalesced.fetch_add(batch.size() - 1, kRelease);
-  // One snapshot for the whole batch: every request in it is served —
-  // and version-tagged — by exactly one model, never a half-swapped one.
-  const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
-  CtxLease lease(*this);
-  for (Pending* p : batch) {
-    try {
-      p->result = snap->serve(*p->req, lease.get());
-    } catch (...) {
-      p->error = std::current_exception();
-    }
-  }
-}
-
 TuneResult TuningService::tune(const TuneRequest& request) {
   counters_->requests.fetch_add(1, kRelease);
-
-  if (!workers_.empty()) return tune_sharded(request);
-
-  if (!opt_.coalesce) {
-    counters_->batches.fetch_add(1, kRelease);
-    const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
-    CtxLease lease(*this);
-    return snap->serve(request, lease.get());
-  }
-
-  Pending p;
-  p.req = &request;
-  std::unique_lock<std::mutex> lk(admit_mu_);
-  queue_.push_back(&p);
-  // Wake a leader parked in its bounded batch_wait: the queue just grew.
-  // With batch_wait == 0 no leader ever parks there, so skip the
-  // broadcast — it would only wake followers into re-sleeping.
-  if (opt_.batch_wait.count() > 0) admit_cv_.notify_all();
-  while (!p.done) {
-    if (leader_active_) {
-      // Follower: a leader is executing (or filling) a batch; our request
-      // either rides in it or waits for the next leader.
-      admit_cv_.wait(lk);
-      continue;
-    }
-    // Become the leader. Optionally wait — bounded — for the batch to
-    // fill, then take up to max_batch queued requests and execute them
-    // outside the lock.
-    leader_active_ = true;
-    const std::size_t max_batch =
-        static_cast<std::size_t>(std::max(1, opt_.max_batch));
-    if (opt_.batch_wait.count() > 0 && queue_.size() < max_batch) {
-      admit_cv_.wait_for(lk, opt_.batch_wait,
-                         [&] { return queue_.size() >= max_batch; });
-    }
-    const std::size_t take = std::min(queue_.size(), max_batch);
-    const std::vector<Pending*> batch(queue_.begin(),
-                                      queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    queue_.erase(queue_.begin(),
-                 queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    lk.unlock();
-    run_batch(batch);
-    lk.lock();
-    for (Pending* q : batch) q->done = true;
-    leader_active_ = false;
-    // Wake the batch's owners and the next leader candidate.
-    admit_cv_.notify_all();
-  }
-  lk.unlock();
-  if (p.error) std::rethrow_exception(p.error);
-  return p.result;
+  counters_->batches.fetch_add(1, kRelease);
+  const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
+  CtxLease lease(*this);
+  return snap->serve(request, lease.get());
 }
 
 std::vector<TuneResult> TuningService::tune_batch(
@@ -364,6 +198,8 @@ std::vector<TuneResult> TuningService::tune_batch(
   counters_->requests.fetch_add(requests.size(), kRelease);
   counters_->batches.fetch_add(1, kRelease);
   counters_->coalesced.fetch_add(requests.size() - 1, kRelease);
+  // One snapshot for the whole batch: every request in it is served — and
+  // version-tagged — by exactly one model, never a half-swapped one.
   const std::shared_ptr<const Snapshot> snap = snapshot_.current().value;
   CtxLease lease(*this);
   out.reserve(requests.size());

@@ -4,56 +4,44 @@
 /// Thread-safe concurrent tuning service — the production front end of the
 /// paper's deployment story: many callers asking "best (threads, schedule,
 /// chunk) under this power cap" at once, against a model that can be
-/// replaced without downtime. Three mechanisms (docs/SERVING.md has the
-/// full contracts):
+/// replaced without downtime. The service has no scheduler of its own:
+/// tune() serves on the calling thread, so concurrency is whatever the
+/// caller brings (serve::Server's worker pool on the wire path). Three
+/// mechanisms (docs/SERVING.md has the full contracts):
 ///
-///  - **Sharded encoding cache.** Per-region GNN readouts (serve::Encoding,
-///    about 200 B each) live in N lock-striped shards (common/sync.hpp
-///    StripedSharedMutex), so queries for unrelated regions never contend;
-///    each region is encoded at most once per model version, in the
-///    caller's reused GNN workspace and outside any lock.
+///  - **Striped encoding cache.** Per-region GNN readouts (serve::Encoding,
+///    about 200 B each) live behind kCacheStripes lock stripes
+///    (common/sync.hpp StripedSharedMutex), so queries for unrelated
+///    regions never contend; each region is encoded at most once per
+///    model version, outside any lock.
 ///
-///  - **Admission queue.** Small concurrent requests coalesce into
-///    batches (leader/follower combining): the first caller to find no
-///    active leader takes the queued requests — optionally waiting a
-///    bounded `batch_wait` for the batch to fill — executes them against
-///    one model snapshot, and wakes the owners. Callers never see the
-///    queue; tune() simply returns their result (or rethrows their
-///    error).
-///
-///  - **Worker shards (opt-in).** worker_shards > 0 replaces the
-///    leader/follower queue with N dedicated worker threads, requests
-///    routed by region hash (common/sync.hpp shard_of_key) to the worker
-///    whose index equals the region's cache stripe. Each worker owns one
-///    serving context — the arena-backed Workspace (nn/arena.hpp) and
-///    the GNN workspace its misses encode in — so steady-state serving
-///    is allocation-free and workers never touch each other's cache
-///    stripes. Optionally pinned to cores (pin_workers).
+///  - **Leased serving contexts.** Each call leases a ServeCtx — the
+///    arena-backed Workspace (nn/arena.hpp) its dense heads and decode
+///    run in, plus the GNN workspace a miss encodes in — from a pool that
+///    grows to the peak number of concurrent callers and is reused
+///    forever, so steady-state cache hits allocate nothing.
 ///
 ///  - **Versioned hot reload.** reload(path) loads and validates a new
 ///    artifact entirely off to the side, then atomically publishes it
 ///    (common/sync.hpp VersionedSnapshot). In-flight requests finish on
-///    the snapshot that admitted them; requests admitted after the
-///    publish use the new model; a failed reload (corrupt / incompatible
-///    / missing artifact) throws and the old model keeps serving. Every
+///    the snapshot they started on; requests started after the publish
+///    use the new model; a failed reload (corrupt / incompatible /
+///    missing artifact) throws and the old model keeps serving. Every
 ///    result is tagged with the model version that served it.
 ///
 /// Determinism contract: a request's result is a pure function of
-/// (request, model version). Concurrent execution, batching order, cache
-/// state, and thread count never change any result — the stress suite
+/// (request, model version). Concurrent execution, cache state, and
+/// thread count never change any result — the stress suite
 /// (tests/service_test.cpp) checks bit-identity against a single-threaded
 /// reference run, including across a mid-stream reload.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -94,33 +82,6 @@ struct TuneResult {
 };
 
 struct TuningServiceOptions {
-  /// Lock stripes of the per-version encoding cache (≥ 1).
-  int cache_shards = 16;
-  /// Largest batch one admission-queue leader executes at once (≥ 1).
-  int max_batch = 64;
-  /// Bounded extra wait for a batch to fill before the leader runs it.
-  /// 0 (default) adds no latency: a leader takes whatever is queued at
-  /// that instant, and batches still form naturally under load because
-  /// requests arriving while a leader executes queue up for the next one.
-  std::chrono::microseconds batch_wait{0};
-  /// false → skip the admission queue entirely: every caller executes its
-  /// own request directly against the current snapshot (lowest latency,
-  /// no coalescing; cache sharding still applies).
-  bool coalesce = true;
-  /// > 0 → worker-shard mode: that many dedicated worker threads, each
-  /// owning one serving context (arena + GNN workspaces). Requests are
-  /// routed to workers by region hash (common/sync.hpp shard_of_key) and
-  /// the encoding cache is striped to exactly the worker count, so a
-  /// region's worker and its cache stripe coincide — workers never
-  /// contend on each other's stripes. Supersedes the leader/follower
-  /// admission queue (`coalesce` is ignored); batching still happens
-  /// because a busy worker drains up to max_batch queued requests per
-  /// wakeup. 0 (default) keeps the caller-thread leader/follower path.
-  int worker_shards = 0;
-  /// Worker-shard mode only: best-effort pin worker i to CPU
-  /// i mod hardware_concurrency (Linux pthread_setaffinity_np; silently
-  /// a no-op elsewhere or when the affinity call is rejected).
-  bool pin_workers = false;
   /// Serving tier override passed to every published ModelState; nullopt
   /// uses each artifact's persisted preference (f64 for artifacts
   /// predating the f32 tier). A reload may therefore switch tiers
@@ -147,20 +108,20 @@ class TuningService {
   TuningService(const TuningService&) = delete;
   TuningService& operator=(const TuningService&) = delete;
 
-  /// Serve one request. Thread-safe; blocks until the result is ready
-  /// (possibly riding in another caller's batch). Throws pnp::Error for
-  /// invalid requests (bad region/cap, kind not servable by the current
-  /// model's scenario) — an invalid request never affects the others in
-  /// its batch.
+  /// Serve one request on the calling thread against the current model
+  /// snapshot. Thread-safe; counts one request and one batch. Throws
+  /// pnp::Error for invalid requests (bad region/cap, kind not servable
+  /// by the current model's scenario) — an invalid request never affects
+  /// any other caller.
   TuneResult tune(const TuneRequest& request);
 
   /// Serve a caller-assembled batch on the calling thread against one
   /// model snapshot: one result per request, in order, all tagged with
-  /// the same version. Thread-safe; bypasses the admission queue. This is
-  /// also the offline batch API (pnp_tune, pnp_eval, the retrain gate):
-  /// at worker_shards = 0 the service starts no threads. Throws on the
-  /// first invalid request (the ones before it were served); an empty
-  /// batch counts nothing.
+  /// the same version. Thread-safe. This is the offline batch API
+  /// (pnp_tune, pnp_eval, the retrain gate) and the only call that
+  /// coalesces: n requests count one batch and n − 1 coalesced. Throws
+  /// on the first invalid request (the ones before it were served); an
+  /// empty batch counts nothing.
   std::vector<TuneResult> tune_batch(std::span<const TuneRequest> requests);
 
   /// Zero-downtime model replacement: load the artifact at `path`,
@@ -171,16 +132,12 @@ class TuningService {
   /// serving, unchanged. Concurrent reloads are serialized.
   std::uint64_t reload(const std::string& artifact_path);
 
-  ~TuningService();
-
   /// Version of the model currently serving new requests.
   std::uint64_t model_version() const { return snapshot_.version(); }
   /// Scenario of the model currently serving new requests.
   core::PnpTuner::Mode mode() const;
   /// Inference tier of the model currently serving new requests.
   nn::Precision precision() const;
-  /// Worker threads in worker-shard mode (0 on the leader/follower path).
-  int worker_shards() const { return static_cast<int>(workers_.size()); }
   /// Region encodings cached by the current snapshot.
   std::size_t cached_encodings() const;
   /// The measurement db this service validates and serves against.
@@ -193,13 +150,11 @@ class TuningService {
 
   struct Stats {
     std::uint64_t requests = 0;       ///< tune() + tune_batch() requests
-    std::uint64_t batches = 0;        ///< executed batches (incl. direct)
-    std::uint64_t coalesced = 0;      ///< requests − batches: requests
-                                      ///< that shared a batch instead of
-                                      ///< executing one of their own
-                                      ///< (another caller's admission
-                                      ///< batch, or extra members of a
-                                      ///< tune_batch() call)
+    std::uint64_t batches = 0;        ///< one per tune(), one per
+                                      ///< non-empty tune_batch()
+    std::uint64_t coalesced = 0;      ///< requests − batches: the extra
+                                      ///< members of tune_batch() calls
+                                      ///< (tune() never coalesces)
     std::uint64_t encode_hits = 0;    ///< cache lookups that found the
                                       ///< region already encoded
     std::uint64_t encode_misses = 0;  ///< lookups that ran the GNN
@@ -242,18 +197,20 @@ class TuningService {
     nn::RgcnNet::GnnCache gnn;
   };
 
-  /// One published model: the immutable ModelState plus its sharded
+  /// Lock stripes of each snapshot's encoding cache.
+  static constexpr std::size_t kCacheStripes = 16;
+
+  /// One published model: the immutable ModelState plus its striped
   /// readout cache. The cache is internally synchronized and append-only
   /// (entries are never replaced or erased), so a reference returned by
   /// encoding() stays valid for the snapshot's lifetime.
   struct Snapshot {
     Snapshot(core::PnpTuner tuner, std::optional<nn::Precision> precision,
-             int beam_width, std::size_t shard_count,
-             std::shared_ptr<Counters> counters);
+             int beam_width, std::shared_ptr<Counters> counters);
 
     std::uint64_t version = 0;
     ModelState model;
-    StripedSharedMutex locks;
+    StripedSharedMutex locks{kCacheStripes};
     /// shards[i] guarded by locks.at(i); entries are immutable once
     /// inserted (unordered_map nodes never move).
     mutable std::vector<std::unordered_map<int, Encoding>> shards;
@@ -268,28 +225,7 @@ class TuningService {
     std::size_t cached() const;
   };
 
-  /// A request parked in the admission queue.
-  struct Pending {
-    const TuneRequest* req = nullptr;
-    TuneResult result;
-    std::exception_ptr error;
-    bool done = false;
-  };
-
-  /// One worker shard: a dedicated thread draining its own queue with its
-  /// own serving context. `mu` guards `queue` and `stop`; `cv` is both
-  /// the worker's wakeup and the callers' completion signal.
-  struct WorkerShard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Pending*> queue;
-    bool stop = false;
-    ServeCtx ctx;
-    std::thread thread;
-  };
-
-  /// RAII lease of a ServeCtx from the service pool (leader/follower and
-  /// tune_batch paths; worker shards own theirs outright).
+  /// RAII lease of a ServeCtx from the service pool.
   class CtxLease {
    public:
     explicit CtxLease(TuningService& svc);
@@ -301,36 +237,14 @@ class TuningService {
     ServeCtx* ctx_;
   };
 
-  std::size_t shard_count() const;
   /// Build + publish a snapshot; all publishes run under reload_mu_.
   std::uint64_t publish_locked(core::PnpTuner tuner);
-  /// Execute a formed batch against one snapshot, filling each Pending.
-  void run_batch(const std::vector<Pending*>& batch);
-  /// Spawn opt_.worker_shards workers (no-op at 0).
-  void start_workers();
-  /// Body of one worker thread: drain ≤ max_batch requests per wakeup,
-  /// serve them against one snapshot, wake the owners; exits when `stop`
-  /// is set and the queue is empty.
-  void worker_loop(WorkerShard& w);
-  /// Worker-shard tune(): route by region hash, park until served.
-  TuneResult tune_sharded(const TuneRequest& request);
 
   const core::MeasurementDb& db_;
   TuningServiceOptions opt_;
   std::shared_ptr<Counters> counters_;
   VersionedSnapshot<Snapshot> snapshot_;
   std::mutex reload_mu_;  ///< serializes publishes (ctor + reload)
-
-  // Admission queue (leader/follower combining; unused in worker mode).
-  std::mutex admit_mu_;
-  std::condition_variable admit_cv_;
-  std::vector<Pending*> queue_;
-  bool leader_active_ = false;
-
-  // Worker shards (empty on the leader/follower path). The vector is
-  // filled once in the constructor and never resized, so unsynchronized
-  // reads of workers_.size()/workers_[i] are safe.
-  std::vector<std::unique_ptr<WorkerShard>> workers_;
 
   // ServeCtx pool (grows on demand, reused forever).
   std::mutex ctx_mu_;

@@ -475,10 +475,9 @@ std::vector<int> size_interleaved_regions(const core::PnpTuner& tuner) {
   return out;
 }
 
-serve::TuningServiceOptions service_options(nn::Precision p, int shards) {
+serve::TuningServiceOptions service_options(nn::Precision p) {
   serve::TuningServiceOptions opt;
   opt.precision = p;
-  opt.worker_shards = shards;
   return opt;
 }
 
@@ -488,47 +487,40 @@ TEST_F(ArenaServingFixture, MissesAllocateOnlyTheirEntryAndHitsNothing) {
   // f32 copy (f32 tier), and now and then a grown bucket array. Warm-up
   // serves every region once so the one workspace has held every graph
   // shape; a reload of the same artifact then empties the cache and each
-  // region misses again. Worker-shard and direct (coalesce = false) modes
-  // exercise the two ways a request reaches its context without a
-  // per-batch vector of the admission queue.
+  // region misses again. Default options throughout: tune() serves on
+  // the calling thread in a leased context, so a hit allocates nothing.
   constexpr std::uint64_t kMaxAllocsPerMiss = 4;
   const std::string path = ::testing::TempDir() + "arena_alloc.pnp";
   trained_power_artifact().save_file(path);
   for (const nn::Precision p : {nn::Precision::f64, nn::Precision::f32}) {
-    for (const int shards : {0, 1}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "precision " << static_cast<int>(p) << " shards "
-                   << shards);
-      serve::TuningServiceOptions opt = service_options(p, shards);
-      opt.coalesce = false;
-      serve::TuningService svc(*db_, path, opt);
-      for (int r = 0; r < db_->num_regions(); ++r)
-        (void)svc.tune(serve::TuneRequest::power(r, 0));
-      ASSERT_EQ(svc.reload(path), 2u);
+    SCOPED_TRACE(::testing::Message() << "precision " << static_cast<int>(p));
+    serve::TuningService svc(*db_, path, service_options(p));
+    for (int r = 0; r < db_->num_regions(); ++r)
+      (void)svc.tune(serve::TuneRequest::power(r, 0));
+    ASSERT_EQ(svc.reload(path), 2u);
 
-      for (int r = 0; r < db_->num_regions(); ++r) {
-        const std::uint64_t before =
-            g_allocations.load(std::memory_order_relaxed);
-        const serve::TuneResult res = svc.tune(serve::TuneRequest::power(r, 0));
-        const std::uint64_t after =
-            g_allocations.load(std::memory_order_relaxed);
-        ASSERT_EQ(res.model_version, 2u);
-        EXPECT_LE(after - before, kMaxAllocsPerMiss)
-            << "miss on region " << r << " allocated " << (after - before)
-            << " times";
-      }
-      const auto st = svc.stats();
-      EXPECT_EQ(st.encode_misses,
-                2u * static_cast<std::uint64_t>(db_->num_regions()));
-
-      const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      for (int r = 0; r < db_->num_regions(); ++r)
-        for (int k = 0; k < db_->num_caps(); ++k)
-          (void)svc.tune(serve::TuneRequest::power(r, k));
-      const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-      EXPECT_EQ(after, before) << "cache hits allocated " << (after - before)
-                               << " times";
+    for (int r = 0; r < db_->num_regions(); ++r) {
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      const serve::TuneResult res = svc.tune(serve::TuneRequest::power(r, 0));
+      const std::uint64_t after =
+          g_allocations.load(std::memory_order_relaxed);
+      ASSERT_EQ(res.model_version, 2u);
+      EXPECT_LE(after - before, kMaxAllocsPerMiss)
+          << "miss on region " << r << " allocated " << (after - before)
+          << " times";
     }
+    const auto st = svc.stats();
+    EXPECT_EQ(st.encode_misses,
+              2u * static_cast<std::uint64_t>(db_->num_regions()));
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int r = 0; r < db_->num_regions(); ++r)
+      for (int k = 0; k < db_->num_caps(); ++k)
+        (void)svc.tune(serve::TuneRequest::power(r, k));
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << "cache hits allocated " << (after - before)
+                             << " times";
   }
 }
 
@@ -555,43 +547,40 @@ TEST_F(ArenaServingFixture, ReusedWorkspaceBitIdenticalAcrossShapesAndReload) {
       for (int k = 0; k < nc; ++k)
         at(r, k) = reference(tuner, p, serve::TuneRequest::power(r, k)).cfg;
 
-    for (const int shards : {0, 2}) {
-      SCOPED_TRACE(::testing::Message() << "shards " << shards);
-      serve::TuningService svc(*db_, path, service_options(p, shards));
-      ASSERT_EQ(svc.precision(), p);
-      // Miss (first cap of each region) then hit (the rest), a second
-      // all-hit pass, a reload of the same artifact, and misses again.
-      const auto serve_grid = [&](std::uint64_t version) {
-        for (const int r : order)
-          for (int k = 0; k < nc; ++k) {
-            const auto res = svc.tune(serve::TuneRequest::power(r, k));
-            EXPECT_EQ(res.config, at(r, k)) << "region " << r << " cap " << k;
-            EXPECT_EQ(res.model_version, version);
-          }
-      };
-      serve_grid(1);
-      serve_grid(1);
-      ASSERT_EQ(svc.reload(path), 2u);
-      serve_grid(2);
-      const auto st = svc.stats();
-      EXPECT_EQ(st.encode_misses,
-                2u * static_cast<std::uint64_t>(db_->num_regions()));
-      EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
-    }
+    serve::TuningService svc(*db_, path, service_options(p));
+    ASSERT_EQ(svc.precision(), p);
+    // Miss (first cap of each region) then hit (the rest), a second
+    // all-hit pass, a reload of the same artifact, and misses again.
+    const auto serve_grid = [&](std::uint64_t version) {
+      for (const int r : order)
+        for (int k = 0; k < nc; ++k) {
+          const auto res = svc.tune(serve::TuneRequest::power(r, k));
+          EXPECT_EQ(res.config, at(r, k)) << "region " << r << " cap " << k;
+          EXPECT_EQ(res.model_version, version);
+        }
+    };
+    serve_grid(1);
+    serve_grid(1);
+    ASSERT_EQ(svc.reload(path), 2u);
+    serve_grid(2);
+    const auto st = svc.stats();
+    EXPECT_EQ(st.encode_misses,
+              2u * static_cast<std::uint64_t>(db_->num_regions()));
+    EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
 
     // The same grid as one caller-formed batch, twice: misses, then hits.
-    serve::TuningService svc(*db_, path, service_options(p, 0));
+    serve::TuningService batch_svc(*db_, path, service_options(p));
     std::vector<serve::TuneRequest> grid;
     for (const int r : order)
       for (int k = 0; k < nc; ++k)
         grid.push_back(serve::TuneRequest::power(r, k));
     for (int pass = 0; pass < 2; ++pass) {
-      const auto got = svc.tune_batch(grid);
+      const auto got = batch_svc.tune_batch(grid);
       ASSERT_EQ(got.size(), grid.size());
       for (std::size_t i = 0; i < grid.size(); ++i)
         EXPECT_EQ(got[i].config, at(grid[i].region, grid[i].cap_index))
             << "batch pass " << pass << " request " << i;
-      EXPECT_EQ(svc.cached_encodings(),
+      EXPECT_EQ(batch_svc.cached_encodings(),
                 static_cast<std::size_t>(db_->num_regions()));
     }
   }

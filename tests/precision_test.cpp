@@ -213,28 +213,4 @@ TEST_F(PrecisionFixture, ServicePrecisionOverrideAndMixedReload) {
   EXPECT_EQ(svc64.precision(), nn::Precision::f64);
 }
 
-TEST_F(PrecisionFixture, ShardedF32ServiceMatchesUnshardedF32) {
-  // Worker shards and the f32 tier compose: a 2-shard f32 service returns
-  // exactly what the single-threaded f32 path returns.
-  const auto art = trained_power_artifact();
-  serve::TuningServiceOptions f32_opt;
-  f32_opt.precision = nn::Precision::f32;
-  serve::TuningService reference(core::PnpTuner::from_artifact(*db_, art),
-                                 f32_opt);
-  serve::TuningServiceOptions sharded_opt = f32_opt;
-  sharded_opt.worker_shards = 2;
-  serve::TuningService sharded(core::PnpTuner::from_artifact(*db_, art),
-                               sharded_opt);
-  EXPECT_EQ(sharded.worker_shards(), 2);
-  EXPECT_EQ(sharded.precision(), nn::Precision::f32);
-
-  for (int r = 0; r < db_->num_regions(); ++r)
-    for (int k = 0; k < db_->num_caps(); ++k) {
-      const auto q = serve::TuneRequest::power(r, k);
-      const auto a = sharded.tune(q);
-      const auto b = reference.tune(q);
-      EXPECT_EQ(a.config, b.config) << "region " << r << " cap " << k;
-    }
-}
-
 }  // namespace

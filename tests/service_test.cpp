@@ -4,7 +4,7 @@
 /// single-threaded reference run — including across a mid-stream hot
 /// reload — plus the reload failure contract (corrupt / truncated /
 /// wrong-search-space / missing artifacts leave the old model serving),
-/// admission-queue accounting invariants, and the common/sync.hpp
+/// accounting invariants, and the common/sync.hpp
 /// primitives. Worker threads never call gtest assertions; they record
 /// into pre-sized slots and the main thread verifies after join (keeps
 /// the suite clean under ThreadSanitizer, which CI runs it with).
@@ -30,6 +30,21 @@ namespace {
 constexpr int kThreads = 8;
 
 // --- common/sync.hpp primitives ---------------------------------------------
+
+TEST(ShardOfKey, DeterministicInRangeAndSpreading) {
+  // The router behind the encoding cache's lock stripes: stable across
+  // calls, always in range, and not degenerate (distinct small keys
+  // spread over stripes rather than clumping on one).
+  std::vector<int> hits(4, 0);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    const std::size_t s = shard_of_key(k, 4);
+    EXPECT_LT(s, 4u);
+    EXPECT_EQ(s, shard_of_key(k, 4));
+    ++hits[s];
+  }
+  for (int h : hits) EXPECT_GT(h, 0);
+  EXPECT_THROW(shard_of_key(1, 0), Error);
+}
 
 TEST(StripedSharedMutex, MapsKeysToValidStripesDeterministically) {
   StripedSharedMutex m(7);
@@ -245,24 +260,12 @@ TEST_F(ServiceFixture, ConcurrentMixedQueriesMatchSingleThreadedReference) {
   const auto reqs = mixed_power_requests(600);
   const auto want = reference_answers(path_a_, 1, reqs);
 
-  // Coalescing on (default), with a bounded admission wait to force the
-  // queue paths; then direct mode; then the caller-batch API. All three
-  // must be bit-identical to the reference.
-  serve::TuningServiceOptions qopt;
-  qopt.cache_shards = 4;
-  qopt.max_batch = 8;
-  qopt.batch_wait = std::chrono::microseconds(200);
-  serve::TuningService queued(*db_, path_a_, qopt);
-  const auto got_queued = hammer(queued, reqs);
+  // tune() from kThreads callers at once, then the caller-batch API.
+  // Both must be bit-identical to the reference.
+  serve::TuningService service(*db_, path_a_);
+  const auto got = hammer(service, reqs);
   for (std::size_t i = 0; i < reqs.size(); ++i)
-    expect_result_eq(got_queued[i], want[i], i);
-
-  serve::TuningServiceOptions dopt;
-  dopt.coalesce = false;
-  serve::TuningService direct(*db_, path_a_, dopt);
-  const auto got_direct = hammer(direct, reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    expect_result_eq(got_direct[i], want[i], i);
+    expect_result_eq(got[i], want[i], i);
 
   serve::TuningService batch(*db_, path_a_);
   const auto got_batch = batch.tune_batch(reqs);
@@ -276,8 +279,8 @@ TEST_F(ServiceFixture, ConcurrentMixedQueriesMatchSingleThreadedReference) {
   for (const auto& q : reqs) touched[static_cast<std::size_t>(q.region)] = true;
   std::size_t distinct = 0;
   for (const bool t : touched) distinct += t;
-  EXPECT_EQ(queued.cached_encodings(), distinct);
-  EXPECT_EQ(direct.cached_encodings(), distinct);
+  EXPECT_EQ(service.cached_encodings(), distinct);
+  EXPECT_EQ(batch.cached_encodings(), distinct);
 }
 
 TEST_F(ServiceFixture, ConcurrentEdpQueriesMatchReference) {
@@ -523,20 +526,16 @@ TEST_F(ServiceFixture, BadRequestsFailAloneWithoutPoisoningTheService) {
 // --- accounting --------------------------------------------------------------
 
 TEST_F(ServiceFixture, StatsInvariantsHoldUnderConcurrency) {
-  serve::TuningServiceOptions opt;
-  opt.max_batch = 8;
-  opt.batch_wait = std::chrono::microseconds(500);
-  serve::TuningService service(*db_, path_a_, opt);
+  serve::TuningService service(*db_, path_a_);
 
   const auto reqs = mixed_power_requests(256);
   hammer(service, reqs);
 
   const auto st = service.stats();
   EXPECT_EQ(st.requests, reqs.size());
-  EXPECT_GE(st.batches, 1u);
-  EXPECT_LE(st.batches, st.requests);
-  // Every queued request either led its batch or rode along.
-  EXPECT_EQ(st.coalesced, st.requests - st.batches);
+  // tune() serves each request as its own batch: nothing coalesces.
+  EXPECT_EQ(st.batches, st.requests);
+  EXPECT_EQ(st.coalesced, 0u);
   // Exactly one encoding lookup per request; the cache never shrinks.
   EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
   EXPECT_GE(st.encode_misses, service.cached_encodings());
@@ -547,118 +546,6 @@ TEST_F(ServiceFixture, StatsInvariantsHoldUnderConcurrency) {
   const auto before = service.stats().encode_misses;
   for (int i = 0; i < 10; ++i) service.tune(reqs[0]);
   EXPECT_EQ(service.stats().encode_misses, before);
-}
-
-// --- worker-shard mode -------------------------------------------------------
-
-TEST(ShardOfKey, DeterministicInRangeAndSpreading) {
-  // The router every shard consumer shares: stable across calls, always
-  // in range, and not degenerate (distinct small keys spread over
-  // stripes rather than clumping on one).
-  std::vector<int> hits(4, 0);
-  for (std::uint64_t k = 0; k < 64; ++k) {
-    const std::size_t s = shard_of_key(k, 4);
-    EXPECT_LT(s, 4u);
-    EXPECT_EQ(s, shard_of_key(k, 4));
-    ++hits[s];
-  }
-  for (int h : hits) EXPECT_GT(h, 0);
-  EXPECT_THROW(shard_of_key(1, 0), Error);
-}
-
-TEST_F(ServiceFixture, ShardedServiceMatchesReferenceUnderConcurrency) {
-  // Worker-shard mode answers exactly like the single-threaded tuner and
-  // keeps the accounting invariants: shards change scheduling, nothing
-  // else.
-  serve::TuningServiceOptions opt;
-  opt.worker_shards = 3;
-  opt.max_batch = 8;
-  serve::TuningService service(*db_, path_a_, opt);
-  EXPECT_EQ(service.worker_shards(), 3);
-
-  const auto reqs = mixed_power_requests(256);
-  const auto want = reference_answers(path_a_, 1, reqs);
-  const auto got = hammer(service, reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    expect_result_eq(got[i], want[i], i);
-
-  const auto st = service.stats();
-  EXPECT_EQ(st.requests, reqs.size());
-  EXPECT_GE(st.batches, 1u);
-  EXPECT_LE(st.batches, st.requests);
-  EXPECT_EQ(st.coalesced, st.requests - st.batches);
-  EXPECT_EQ(st.encode_hits + st.encode_misses, st.requests);
-  EXPECT_LE(service.cached_encodings(),
-            static_cast<std::size_t>(db_->num_regions()));
-}
-
-TEST_F(ServiceFixture, ShardedReloadBoundaryResultsMatchTheirVersion) {
-  // Hot reload under worker shards: a client hammering throughout must
-  // see every result consistent with the version that served it — v1
-  // answers before the swap, v2 answers after, nothing in between.
-  serve::TuningServiceOptions opt;
-  opt.worker_shards = 2;
-  serve::TuningService service(*db_, path_a_, opt);
-
-  const auto reqs = mixed_power_requests(400);
-  const auto want_v1 = reference_answers(path_a_, 1, reqs);
-  const auto want_v2 = reference_answers(path_b_, 2, reqs);
-
-  std::vector<serve::TuneResult> results(reqs.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> team;
-  for (int t = 0; t < kThreads; ++t)
-    team.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= reqs.size()) return;
-        results[i] = service.tune(reqs[i]);
-      }
-    });
-  // Swap models mid-stream.
-  while (next.load() < reqs.size() / 2) std::this_thread::yield();
-  EXPECT_EQ(service.reload(path_b_), 2u);
-  for (auto& th : team) th.join();
-
-  // Every hammered result must match the reference for whichever version
-  // claims to have served it (the stream may drain before the reload
-  // lands — the version tag, not timing, is the contract).
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    ASSERT_TRUE(results[i].model_version == 1 || results[i].model_version == 2)
-        << "request " << i << " version " << results[i].model_version;
-    expect_result_eq(
-        results[i],
-        results[i].model_version == 1 ? want_v1[i] : want_v2[i], i);
-  }
-  // After the reload returns, the workers serve v2 — deterministically.
-  const auto post = service.tune(reqs[0]);
-  expect_result_eq(post, want_v2[0], 0);
-}
-
-TEST_F(ServiceFixture, ShardedBadRequestsFailAloneAndEdpServes) {
-  // A malformed request must fail only its caller — the worker thread
-  // catches and forwards, then keeps serving its shard.
-  serve::TuningServiceOptions opt;
-  opt.worker_shards = 2;
-  serve::TuningService service(*db_, path_a_, opt);
-  EXPECT_THROW(service.tune(serve::TuneRequest::power(db_->num_regions(), 0)),
-               Error);
-  EXPECT_THROW(service.tune(serve::TuneRequest::edp(0)), Error);  // wrong mode
-  const auto ok = service.tune(serve::TuneRequest::power(0, 0));
-  EXPECT_EQ(ok.model_version, 1u);
-
-  // EDP artifacts serve through shards like any other.
-  serve::TuningService edp(*db_, path_edp_, opt);
-  const auto reqs = [&] {
-    std::vector<serve::TuneRequest> r;
-    for (int i = 0; i < db_->num_regions(); ++i)
-      r.push_back(serve::TuneRequest::edp(i));
-    return r;
-  }();
-  const auto want = reference_answers(path_edp_, 1, reqs);
-  const auto got = hammer(edp, reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    expect_result_eq(got[i], want[i], i);
 }
 
 TEST_F(ServiceFixture, AdoptedTunerAndUntrainedRejection) {

@@ -11,9 +11,9 @@
 /// it, which is exactly what the release/acquire ordering plus the
 /// "requests loaded last" read order buys. At quiescence both turn into
 /// the equalities service_test already asserts. Snapshot readers race
-/// real tuners on the leader/follower path, the coalescing path, the
-/// worker-shard path, and caller-formed tune_batch calls, empty batches
-/// included (an empty batch must count nothing).
+/// real tuners calling tune() (one batch per request) and caller-formed
+/// tune_batch calls, empty batches included (an empty batch must count
+/// nothing).
 
 #include <gtest/gtest.h>
 
@@ -136,25 +136,13 @@ sim::Simulator* StatsConsistencyFixture::sim_ = nullptr;
 core::MeasurementDb* StatsConsistencyFixture::db_ = nullptr;
 std::string StatsConsistencyFixture::model_path_;
 
-TEST_F(StatsConsistencyFixture, LeaderFollowerPathNeverLeads) {
-  TuningServiceOptions opt;
-  TuningService service(*db_, model_path_, opt);
+TEST_F(StatsConsistencyFixture, TunePathNeverLeads) {
+  TuningService service(*db_, model_path_);
   hammer_and_check(service);
-}
-
-TEST_F(StatsConsistencyFixture, CoalescingBatchPathNeverLeads) {
-  TuningServiceOptions opt;
-  opt.max_batch = 8;
-  opt.batch_wait = std::chrono::microseconds(100);
-  TuningService service(*db_, model_path_, opt);
-  hammer_and_check(service);
-}
-
-TEST_F(StatsConsistencyFixture, WorkerShardPathNeverLeads) {
-  TuningServiceOptions opt;
-  opt.worker_shards = 3;
-  TuningService service(*db_, model_path_, opt);
-  hammer_and_check(service);
+  // tune() never coalesces: every request is its own batch.
+  const TuningService::Stats st = service.stats();
+  EXPECT_EQ(st.batches, st.requests);
+  EXPECT_EQ(st.coalesced, 0u);
 }
 
 TEST_F(StatsConsistencyFixture, TuneBatchPathNeverLeads) {

@@ -3,10 +3,8 @@
 /// thread pool and print a deterministic result grid (docs/SERVING.md):
 ///
 ///   pnp_serve --machine NAME --model MODEL --requests FILE
-///             [--threads N] [--shards N] [--max-batch N]
-///             [--batch-wait-us N] [--no-coalesce]
-///             [--space table1|extended] [--beam-width N] [--out FILE]
-///             [--observe-log PATH]
+///             [--threads N] [--space table1|extended] [--beam-width N]
+///             [--out FILE] [--observe-log PATH]
 ///
 /// The request file holds one request per line ('#' starts a comment):
 ///
@@ -16,12 +14,13 @@
 ///   reload   <artifact-path>
 ///   observe  <region> <cap_watts> <threads> <sched> <chunk> <seconds> <joules>
 ///
-/// Query lines are served concurrently by N pool threads. A `reload` line
-/// is a barrier: all earlier requests drain, the model is swapped, and
-/// later requests are served by the new version — so the printed grid,
-/// including the per-request model-version tags, is a pure function of
-/// the file and byte-identical across runs and thread counts (CI runs the
-/// same file twice and diffs). An `observe` line (requires --observe-log)
+/// Query lines are served concurrently by N pool threads, each calling
+/// TuningService::tune on its own thread. A `reload` line is a barrier:
+/// all earlier requests drain, the model is swapped, and later requests
+/// are served by the new version — so the printed grid, including the
+/// per-request model-version tags, is a pure function of the file and
+/// byte-identical across runs and thread counts (CI diffs a one-thread
+/// grid against a multi-thread one). An `observe` line (requires --observe-log)
 /// is also a barrier: the measurement is validated against the serving
 /// grid and durably appended to the core::MeasurementLog, feeding the
 /// retraining loop of docs/SERVING.md "Model lifecycle" (`sched` is the
@@ -66,8 +65,7 @@ struct Args {
       stderr,
       "usage:\n"
       "  %s --machine NAME --model MODEL --requests FILE\n"
-      "     [--threads N] [--shards N] [--max-batch N] [--batch-wait-us N]\n"
-      "     [--no-coalesce] [--space table1|extended] [--beam-width N]\n"
+      "     [--threads N] [--space table1|extended] [--beam-width N]\n"
       "     [--out FILE] [--observe-log PATH]\n"
       "request file lines: 'power R K' | 'power_at R WATTS' | 'edp R' |\n"
       "'reload PATH' (a barrier: drains, swaps the model, continues) |\n"
@@ -93,14 +91,6 @@ Args parse_args(int argc, char** argv) {
       else if (flag == "--out") a.out_path = value();
       else if (flag == "--threads")
         a.threads = parse_int(value(), "--threads", 1, 4096);
-      else if (flag == "--shards")
-        a.service.cache_shards = parse_int(value(), "--shards", 1, 4096);
-      else if (flag == "--max-batch")
-        a.service.max_batch = parse_int(value(), "--max-batch", 1, 1 << 20);
-      else if (flag == "--batch-wait-us")
-        a.service.batch_wait = std::chrono::microseconds(
-            parse_int(value(), "--batch-wait-us", 0, 60000000));
-      else if (flag == "--no-coalesce") a.service.coalesce = false;
       else if (flag == "--space") a.space = value();
       else if (flag == "--observe-log") a.observe_log = value();
       else if (flag == "--beam-width")
@@ -315,11 +305,9 @@ int run(const Args& a) {
 
   const auto st = service.stats();
   std::fprintf(stderr,
-               "served %llu requests in %llu batches (%llu coalesced), "
-               "encodings %llu cached / %llu computed, %llu reloads\n",
+               "served %llu requests, encodings %llu cached / %llu "
+               "computed, %llu reloads\n",
                static_cast<unsigned long long>(st.requests),
-               static_cast<unsigned long long>(st.batches),
-               static_cast<unsigned long long>(st.coalesced),
                static_cast<unsigned long long>(st.encode_hits),
                static_cast<unsigned long long>(st.encode_misses),
                static_cast<unsigned long long>(st.reloads));

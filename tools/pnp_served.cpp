@@ -4,9 +4,7 @@
 /// docs/SERVING.md ("Network protocol") on a TCP or unix socket:
 ///
 ///   pnp_served --machine NAME[,NAME...] --model MODEL --listen ADDR
-///              [--workers N] [--queue N] [--shards N] [--pin]
-///              [--cache-stripes N] [--precision f64|f32] [--max-batch N]
-///              [--batch-wait-us N] [--no-coalesce]
+///              [--workers N] [--queue N] [--precision f64|f32]
 ///              [--observe-log PATH] [--retrain-interval MS]
 ///              [--retrain-publish PATH] [--retrain-epochs N]
 ///              [--retrain-min-records N] [--retrain-min-gain X]
@@ -20,12 +18,10 @@
 /// broadcasts to every tenant, `observe` and the retraining loop bind
 /// tenant 0.
 ///
-/// `--shards N` puts the TuningService in worker-shard mode: N dedicated
-/// serving threads, requests routed by region hash, one encoding-cache
-/// stripe + arena workspace per worker (`--pin` additionally pins them to
-/// cores). `--cache-stripes` sizes the encoding cache's lock striping on
-/// the default (leader/follower) path. `--precision` overrides the
-/// artifact's persisted serving tier.
+/// The server's worker pool (`--workers`, fed by a `--queue`-deep
+/// admission queue) is the only scheduler: each worker serves its request
+/// on its own thread through TuningService::tune. `--precision` overrides
+/// the artifact's persisted serving tier.
 ///
 /// `--observe-log PATH` opens (or creates) a core::MeasurementLog and
 /// enables the `observe` opcode: clients stream real (region, config,
@@ -88,9 +84,7 @@ struct Args {
       stderr,
       "usage:\n"
       "  %s --machine NAME[,NAME...] --model MODEL --listen ADDR\n"
-      "     [--workers N] [--queue N] [--shards N] [--pin]\n"
-      "     [--cache-stripes N] [--precision f64|f32] [--max-batch N]\n"
-      "     [--batch-wait-us N] [--no-coalesce]\n"
+      "     [--workers N] [--queue N] [--precision f64|f32]\n"
       "     [--observe-log PATH] [--retrain-interval MS]\n"
       "     [--retrain-publish PATH] [--retrain-epochs N]\n"
       "     [--retrain-min-records N] [--retrain-min-gain X]\n"
@@ -98,7 +92,7 @@ struct Args {
       "--machine NAME[,NAME...]: one tenant per comma-separated machine\n"
       "(haswell, skylake, or gen:<seed>:<index>); multi-machine daemons\n"
       "need a fleet artifact.\n"
-      "--shards N serves through N region-hash-routed worker shards;\n"
+      "--workers N serving threads drain a --queue N deep admission queue;\n"
       "--precision overrides the artifact's serving tier.\n"
       "--observe-log enables the observe opcode; --retrain-interval\n"
       "starts the gated online-retraining loop (requires --observe-log).\n"
@@ -123,23 +117,12 @@ Args parse_args(int argc, char** argv) {
         a.server.workers = parse_int(value(), "--workers", 1, 4096);
       else if (flag == "--queue")
         a.server.queue_depth = parse_int(value(), "--queue", 1, 1 << 20);
-      else if (flag == "--shards")
-        a.service.worker_shards = parse_int(value(), "--shards", 0, 4096);
-      else if (flag == "--pin") a.service.pin_workers = true;
-      else if (flag == "--cache-stripes")
-        a.service.cache_shards = parse_int(value(), "--cache-stripes", 1, 4096);
       else if (flag == "--precision") {
         const std::string p = value();
         a.service.precision = nn::precision_from_name(p);
         if (!a.service.precision)
           throw Error("bad --precision '" + p + "' (expected f64 or f32)");
       }
-      else if (flag == "--max-batch")
-        a.service.max_batch = parse_int(value(), "--max-batch", 1, 1 << 20);
-      else if (flag == "--batch-wait-us")
-        a.service.batch_wait = std::chrono::microseconds(
-            parse_int(value(), "--batch-wait-us", 0, 60000000));
-      else if (flag == "--no-coalesce") a.service.coalesce = false;
       else if (flag == "--observe-log") a.observe_log = value();
       else if (flag == "--retrain-interval")
         a.retrain_interval_ms =
@@ -253,12 +236,11 @@ int run(const Args& a) {
     retrainer->start(std::chrono::milliseconds(a.retrain_interval_ms));
   std::fprintf(stderr,
                "listening on %s (model %s v%llu %s, %zu tenants, %d workers, "
-               "queue %d, %d shards)\n",
+               "queue %d)\n",
                server.address().to_string().c_str(), a.model_path.c_str(),
                static_cast<unsigned long long>(service.model_version()),
                nn::precision_name(service.precision()), tenants.size(),
-               a.server.workers, a.server.queue_depth,
-               service.worker_shards());
+               a.server.workers, a.server.queue_depth);
 
   char b;
   for (;;) {
