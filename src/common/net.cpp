@@ -293,4 +293,92 @@ std::optional<std::string> recv_frame(Socket& s, std::uint32_t max_payload) {
   return payload;
 }
 
+std::size_t Socket::read_some(void* buf, std::size_t n) {
+  PNP_CHECK_MSG(valid(), "read on a closed socket");
+  for (;;) {
+    const ssize_t r = ::recv(fd_, buf, n, 0);
+    if (r >= 0) return static_cast<std::size_t>(r);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
+      throw Error("socket read timed out");
+    throw_errno("socket read failed");
+  }
+}
+
+namespace {
+
+// FrameReader's framing checks: recv_frame's conditions and messages, so
+// a fault reads the same whichever parser met it (only the source
+// location in the text differs).
+std::uint32_t frame_length(const char* hdr) {
+  const auto* b = reinterpret_cast<const unsigned char*>(hdr);
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i)
+    len |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+  return len;
+}
+
+void check_prefix(std::size_t got) {
+  PNP_CHECK_MSG(got == 4, "truncated frame length prefix (" << got
+                          << " of 4 bytes)");
+}
+
+void check_length(std::uint32_t len, std::uint32_t max_payload) {
+  PNP_CHECK_MSG(len <= max_payload, "frame length claim of " << len
+                                    << " bytes exceeds limit " << max_payload);
+}
+
+void check_body(std::size_t body, std::uint32_t len) {
+  PNP_CHECK_MSG(body == len, "connection closed mid-frame (" << body
+                             << " of " << len << " payload bytes)");
+}
+
+/// FrameReader's first buffer: room for many pipelined requests per recv.
+constexpr std::size_t kReadChunk = 16 * 1024;
+
+}  // namespace
+
+FrameReader::FrameReader(std::uint32_t max_payload)
+    : max_payload_(max_payload) {}
+
+bool FrameReader::fill(Socket& s) {
+  // Move the partial frame next() left to the front, and make room for
+  // all of it: its claim was checked when its header arrived.
+  const std::size_t held = buffered();
+  std::size_t need = kReadChunk;
+  if (held >= 4) {
+    const std::size_t frame =
+        4 + std::size_t{frame_length(buf_.get() + begin_)};
+    if (frame > need) need = frame;
+  }
+  if (cap_ < need) {
+    std::unique_ptr<char[]> grown(new char[need]);  // uninitialised
+    if (held > 0) std::memcpy(grown.get(), buf_.get() + begin_, held);
+    buf_ = std::move(grown);
+    cap_ = need;
+  } else if (begin_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, held);
+  }
+  begin_ = 0;
+  end_ = held;
+  const std::size_t r = s.read_some(buf_.get() + end_, cap_ - end_);
+  end_ += r;
+  if (r > 0) return true;
+  if (held == 0) return false;  // clean EOF at a frame boundary
+  // EOF inside the partial frame.
+  if (held < 4) check_prefix(held);
+  check_body(held - 4, frame_length(buf_.get()));
+  return false;  // not reached while callers drain next() before fill()
+}
+
+std::optional<std::string_view> FrameReader::next() {
+  if (buffered() < 4) return std::nullopt;
+  const char* frame = buf_.get() + begin_;
+  const std::uint32_t len = frame_length(frame);
+  check_length(len, max_payload_);
+  if (buffered() - 4 < len) return std::nullopt;
+  begin_ += 4 + std::size_t{len};
+  return std::string_view(frame + 4, len);
+}
+
 }  // namespace pnp::net

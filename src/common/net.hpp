@@ -19,12 +19,17 @@
 ///    message rides in — a little-endian u32 payload length, then the
 ///    payload. recv_frame distinguishes a clean EOF at a frame boundary
 ///    (std::nullopt) from truncation mid-frame or an oversized length
-///    claim (pnp::Error).
+///    claim (pnp::Error);
+///  - FrameReader: the same framing parsed from a reused receive buffer,
+///    one recv() per fill() and every complete frame it holds — the
+///    server's read side. Its framing faults carry recv_frame's
+///    conditions and messages (the source location in the text differs).
 ///
 /// Everything is deliberately blocking + thread-per-connection: the
 /// server's concurrency policy lives in serve::Server, not here.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,6 +67,9 @@ class Socket {
   /// success, 0 if the peer closed before the first byte, and anything in
   /// between on a mid-read close. Throws pnp::Error on transport errors.
   std::size_t read_exact(void* buf, std::size_t n);
+  /// One recv() of at most n bytes: the count read, 0 at EOF. Throws
+  /// pnp::Error on transport errors, as read_exact does.
+  std::size_t read_some(void* buf, std::size_t n);
   /// Write all n bytes (MSG_NOSIGNAL). Throws pnp::Error on any failure,
   /// including a closed peer.
   void write_all(const void* buf, std::size_t n);
@@ -131,5 +139,34 @@ void send_frame(Socket& s, std::string_view payload);
 /// length claim above `max_payload`, or transport errors.
 std::optional<std::string> recv_frame(Socket& s,
                                       std::uint32_t max_payload = kMaxFrameBytes);
+
+/// Buffered frame reader for one connection. fill() does one recv() into
+/// the free tail of a reused buffer (grown only to fit a frame, never
+/// zero-filled); next() then yields every complete frame buffered. A
+/// reader that drains next() after each fill() sees the frames, errors
+/// and EOFs recv_frame would, from however the stream was split.
+class FrameReader {
+ public:
+  explicit FrameReader(std::uint32_t max_payload = kMaxFrameBytes);
+
+  /// One recv() into the buffer. Returns false on a clean EOF at a frame
+  /// boundary; throws pnp::Error (recv_frame's message) on EOF inside a
+  /// length prefix or a payload, and on transport errors.
+  bool fill(Socket& s);
+  /// The next complete buffered frame's payload, or nullopt when none is
+  /// complete. The view is valid until the next fill(). Throws
+  /// pnp::Error on a length claim above max_payload as soon as its 4
+  /// header bytes are buffered.
+  std::optional<std::string_view> next();
+  /// Bytes buffered past the frames next() returned.
+  std::size_t buffered() const { return end_ - begin_; }
+
+ private:
+  std::uint32_t max_payload_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t begin_ = 0;  ///< first byte not yet returned by next()
+  std::size_t end_ = 0;    ///< one past the last byte received
+};
 
 }  // namespace pnp::net

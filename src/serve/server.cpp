@@ -56,76 +56,136 @@ void Server::accept_loop() {
     }
     if (!sock.has_value()) return;  // interrupted: shutting down
     connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Conn>(std::move(*sock));
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.push_back(conn);
-    ++live_readers_;
-    readers_.emplace_back([this, conn] { reader_loop(conn); });
+    std::vector<std::thread> reaped;
+    {
+      std::lock_guard<std::mutex> lk(readers_mu_);
+      reaped.swap(finished_);
+      const ReaderIt it = readers_.insert(
+          readers_.end(),
+          Reader{std::make_shared<Conn>(std::move(*sock)), std::thread()});
+      // Assigned under readers_mu_, which the reader takes before it hands
+      // its thread to finished_.
+      it->thread = std::thread([this, it] { reader_loop(it); });
+    }
+    // Threads of connections that ended since the last accept.
+    for (std::thread& t : reaped) t.join();
   }
 }
 
-void Server::reader_loop(std::shared_ptr<Conn> conn) {
+void Server::reader_loop(ReaderIt self) {
+  const std::shared_ptr<Conn> conn = self->conn;
   struct Returned {
     Server& s;
+    ReaderIt self;
     ~Returned() {
-      std::lock_guard<std::mutex> lk(s.conns_mu_);
-      --s.live_readers_;
+      std::lock_guard<std::mutex> lk(s.readers_mu_);
+      s.finished_.push_back(std::move(self->thread));
+      s.readers_.erase(self);
       s.readers_cv_.notify_all();
     }
-  } returned{*this};
+  } returned{*this, self};
+  net::FrameReader in(opt_.max_frame_bytes);
+  std::vector<Job> jobs;
   for (;;) {
-    std::optional<std::string> payload;
+    jobs.clear();
+    bool lone_tune = false;
+    std::string fault;
     try {
-      payload = net::recv_frame(conn->sock, opt_.max_frame_bytes);
-    } catch (const std::exception& e) {
-      // Unsynchronizable stream (truncated prefix, oversized claim,
-      // mid-frame disconnect): best-effort error frame, then wind this
-      // connection down. Only half-close here — in-flight jobs may still
-      // be writing their replies, and the fd itself is closed once all
-      // threads are joined in shutdown(). Other connections are
-      // untouched. During a drain the stream may end mid-frame because the
-      // client hung up on the drain's FIN, or shutdown() gave up lingering
-      // and half-closed our read side — not because the client
-      // misbehaved: don't inflate the malformed counter or emit an id-0
-      // error frame a strict id-matching client cannot correlate.
-      if (!shut_down_.load(std::memory_order_relaxed)) {
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        reply(*conn, protocol::encode_error_response(0, e.what()));
+      if (!in.fill(conn->sock)) return;  // clean EOF at a frame boundary
+      const auto now = std::chrono::steady_clock::now();
+      int frames = 0;
+      while (const std::optional<std::string_view> payload = in.next()) {
+        ++frames;
+        Job job{conn, {}, now};
+        try {
+          job.request = protocol::decode_request(*payload);
+        } catch (const std::exception& e) {
+          // The frame boundary is intact — reject just this request and
+          // keep the connection serving.
+          malformed_.fetch_add(1, std::memory_order_relaxed);
+          reply(*conn, protocol::encode_error_response(
+                           protocol::peek_id(*payload), e.what()));
+          continue;
+        }
+        jobs.push_back(std::move(job));
       }
-      close_writes(*conn);
-      conn->sock.shutdown_read();
-      return;
-    }
-    if (!payload.has_value()) return;  // clean EOF at a frame boundary
-
-    Job job;
-    job.conn = conn;
-    job.admitted = std::chrono::steady_clock::now();
-    try {
-      job.request = protocol::decode_request(*payload);
+      // The read held exactly one frame, a tune request, and nothing
+      // behind it: the client is waiting on this reply alone.
+      lone_tune = frames == 1 && jobs.size() == 1 && in.buffered() == 0 &&
+                  is_tune_op(jobs[0].request.op);
     } catch (const std::exception& e) {
-      // The frame boundary is intact — reject just this request and keep
-      // the connection serving.
-      malformed_.fetch_add(1, std::memory_order_relaxed);
-      reply(*conn,
-            protocol::encode_error_response(protocol::peek_id(*payload),
-                                            e.what()));
-      continue;
+      fault = e.what();
     }
-    admit(std::move(job));
+    // Frames that preceded a framing fault still count as received.
+    admit(jobs, lone_tune);
+    if (fault.empty()) continue;
+    // Unsynchronizable stream (truncated prefix, oversized claim,
+    // mid-frame disconnect): best-effort error frame, then wind this
+    // connection down; other connections are untouched. During a drain
+    // the stream may end mid-frame because the client hung up on the
+    // drain's FIN, or shutdown() gave up lingering and half-closed our
+    // read side — not because the client misbehaved: don't inflate the
+    // malformed counter or emit an id-0 error frame a strict id-matching
+    // client cannot correlate.
+    if (!shut_down_.load(std::memory_order_relaxed)) {
+      malformed_.fetch_add(1, std::memory_order_relaxed);
+      reply(*conn, protocol::encode_error_response(0, fault));
+    }
+    // The requests admitted before the fault are answered before the FIN.
+    {
+      std::unique_lock<std::mutex> lk(conn->write_mu);
+      conn->settled_cv.wait(lk, [&] {
+        return conn->in_flight.load(std::memory_order_acquire) == 0;
+      });
+    }
+    close_writes(*conn);
+    // The socket closes once this reader returns. Closing it with unread
+    // client bytes would reset the connection and could destroy the
+    // replies and the error frame, so read and discard until the client
+    // closes (or kLingerMs of silence).
+    try {
+      conn->sock.set_recv_timeout_ms(kLingerMs);
+      char sink[4096];
+      while (conn->sock.read_some(sink, sizeof sink) > 0) {
+      }
+    } catch (const std::exception&) {
+    }
+    return;
   }
 }
 
-bool Server::admit(Job job) {
+void Server::admit(std::vector<Job>& jobs, bool lone_tune) {
+  if (jobs.empty()) return;  // no decodable frame in this read
+  Conn& conn = *jobs[0].conn;  // one read, one connection
+  std::size_t queued = 0;
+  bool run_here = false;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
-    if (admitting_ && queue_.size() <
-                          static_cast<std::size_t>(opt_.queue_depth)) {
-      queue_.push_back(std::move(job));
-      queue_cv_.notify_one();
-      return true;
+    if (admitting_) {
+      if (lone_tune && queue_.empty() && executing_ < opt_.workers) {
+        // Nothing waits ahead of it and a worker is free, so no worker
+        // could start it any sooner; running it here skips the handoff.
+        // Counted in executing_, so the drain waits for it and at most
+        // `workers` requests execute at once, inline or not.
+        ++executing_;
+        run_here = true;
+      } else {
+        const auto depth = static_cast<std::size_t>(opt_.queue_depth);
+        for (; queued < jobs.size() && queue_.size() < depth; ++queued)
+          queue_.push_back(std::move(jobs[queued]));
+      }
+      // Before any worker can pop (and settle) one of them.
+      conn.in_flight.fetch_add(static_cast<int>(queued) + (run_here ? 1 : 0),
+                               std::memory_order_relaxed);
     }
   }
+  if (run_here) {
+    execute(jobs[0]);
+    executed();
+    return;
+  }
+  if (queued == 1) queue_cv_.notify_one();
+  else if (queued > 1) queue_cv_.notify_all();
   // Full queue (or draining): explicit backpressure, never unbounded
   // buffering — the client gets a shed frame right now. Count only after
   // the frame is delivered: a refusal the client can never observe
@@ -135,9 +195,10 @@ bool Server::admit(Job job) {
   // monotonic. A client holding shed frame N still finds it in stats,
   // because its stats request re-enters this reader only after the
   // increment below.
-  if (reply(*job.conn, protocol::encode_shed_response(job.request.id)))
-    shed_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  for (std::size_t i = queued; i < jobs.size(); ++i) {
+    if (reply(conn, protocol::encode_shed_response(jobs[i].request.id)))
+      shed_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Server::worker_loop() {
@@ -153,12 +214,14 @@ void Server::worker_loop() {
     }
     if (opt_.test_hook_before_execute) opt_.test_hook_before_execute();
     execute(job);
-    {
-      std::lock_guard<std::mutex> lk(queue_mu_);
-      --executing_;
-      if (queue_.empty() && executing_ == 0) drain_cv_.notify_all();
-    }
+    executed();
   }
+}
+
+void Server::executed() {
+  std::lock_guard<std::mutex> lk(queue_mu_);
+  --executing_;
+  if (queue_.empty() && executing_ == 0) drain_cv_.notify_all();
 }
 
 void Server::execute(const Job& job) {
@@ -262,6 +325,15 @@ void Server::execute(const Job& job) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
   }
   reply(*job.conn, out);
+  settled(*job.conn);
+}
+
+void Server::settled(Conn& conn) {
+  if (conn.in_flight.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Under write_mu, so a reader between its check and its wait cannot
+  // miss the wake.
+  std::lock_guard<std::mutex> lk(conn.write_mu);
+  conn.settled_cv.notify_all();
 }
 
 bool Server::reply(Conn& conn, std::string_view payload) {
@@ -322,19 +394,17 @@ void Server::shutdown() {
   //    answer the client with a reset instead of the pending replies and
   //    FIN. Readers of clients that neither send nor close by the
   //    deadline are woken by a read-side shutdown.
+  std::vector<std::thread> returned;
   {
-    std::unique_lock<std::mutex> lk(conns_mu_);
-    for (auto& c : conns_) close_writes(*c);
+    std::unique_lock<std::mutex> lk(readers_mu_);
+    for (Reader& r : readers_) close_writes(*r.conn);
     readers_cv_.wait_for(lk, std::chrono::milliseconds(kLingerMs),
-                         [this] { return live_readers_ == 0; });
-    for (auto& c : conns_) c->sock.shutdown_read();
+                         [this] { return readers_.empty(); });
+    for (Reader& r : readers_) r.conn->sock.shutdown_read();
+    readers_cv_.wait(lk, [this] { return readers_.empty(); });
+    returned.swap(finished_);
   }
-  for (auto& r : readers_) r.join();
-  readers_.clear();
-  {
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    conns_.clear();
-  }
+  for (std::thread& t : returned) t.join();
   listener_.close();
 }
 

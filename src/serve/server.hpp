@@ -6,27 +6,42 @@
 /// length-prefixed binary protocol of serve/protocol.hpp, built from
 /// three moving parts:
 ///
-///  - **an acceptor** + one reader thread per connection, which parse
-///    frames and *admit* requests — a malformed frame is answered with an
-///    error frame (or, when the stream cannot be resynchronized: a
-///    truncated length prefix, an oversized length claim, a mid-frame
-///    disconnect) the connection is closed, while every other connection
-///    keeps serving;
-///  - **a bounded admission queue** drained by a fixed worker pool — the
-///    only scheduler on the serving path: each worker serves its request
-///    on its own thread through TuningService::tune. Backpressure is
-///    explicit: when the queue is full the reader replies with a shed
+///  - **an acceptor** + one reader thread per connection. Each reader
+///    does one recv() per read into a reused per-connection buffer
+///    (net::FrameReader) and decodes every complete frame in it — a
+///    malformed frame is answered with an error frame (or, when the
+///    stream cannot be resynchronized: a truncated length prefix, an
+///    oversized length claim, a mid-frame disconnect) the connection is
+///    closed once the requests admitted before the fault are answered,
+///    while every other connection keeps serving. A reader whose
+///    connection ends leaves the connection table, and its thread is
+///    joined at the next accept (or by shutdown()), so connection churn
+///    holds no descriptors or threads;
+///  - **a bounded admission queue** drained by a fixed worker pool, plus
+///    an inline fast path. When a read held exactly one frame, a tune
+///    request, with nothing behind it, the queue is empty and fewer than
+///    `workers` requests are executing, the reader executes it itself: a
+///    free worker could not start it sooner, and the handoff (a wake of a
+///    sleeping worker on another CPU) would cost more than the request.
+///    Inline runs count against the same bound, so at most `workers`
+///    requests execute at once however many connections are open. Every
+///    other read — a pipelined backlog, `reload`,
+///    `observe`, `stats` — is queued under one lock acquisition, so
+///    workers stay the only threads that run a reload or a durable
+///    append, and a reader never stops reading for long. Both paths serve
+///    through TuningService::tune on the executing thread. Backpressure
+///    is explicit: a request that does not fit the queue gets a shed
 ///    frame immediately — the server never buffers without bound, and a
 ///    load generator sees exactly how much traffic was refused;
 ///  - **graceful drain**: shutdown() closes the listener first, stops
-///    admitting (late arrivals get shed frames), lets every accepted
-///    request finish and flush its reply, then closes connections with a
-///    lingering close and joins every thread. An accepted request is
-///    never lost.
+///    admitting (late arrivals get shed frames, inline ones too), lets
+///    every accepted request finish and flush its reply — on a worker or
+///    on its reader — then closes connections with a lingering close and
+///    joins every thread. An accepted request is never lost.
 ///
-/// Responses carry the request's id, so workers may answer a
-/// connection's pipelined requests out of order; per-connection writes
-/// are serialized by a write mutex. Each admitted tune request's
+/// Responses carry the request's id, so workers and the reader may
+/// answer a connection's pipelined requests out of order; per-connection
+/// writes are serialized by a write mutex. Each admitted tune request's
 /// admission→reply latency lands in a common::LatencyHistogram, exported
 /// (with the server + TuningService counters) through the `stats`
 /// opcode. Request semantics and results are exactly TuningService's:
@@ -48,6 +63,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,7 +81,10 @@ struct ServerOptions {
   /// Endpoint spec: "unix:PATH" or "tcp:[HOST:]PORT" ("tcp:0" binds an
   /// ephemeral loopback port; Server::address() reports it).
   std::string listen = "tcp:127.0.0.1:0";
-  /// Worker threads executing admitted requests (≥ 1).
+  /// Worker threads executing queued requests (≥ 1), and the most
+  /// requests that execute at once: a reader runs a lone tune request
+  /// itself only while fewer than this many execute (see the file
+  /// comment).
   int workers = 2;
   /// Admission-queue capacity (≥ 1). A request arriving while the queue
   /// holds this many is refused with a shed frame.
@@ -83,10 +102,12 @@ struct ServerOptions {
   /// Source of the feedback-loop counters exported in the stats frame
   /// (serve/retrainer.hpp RetrainController::counters). null → zeros.
   std::function<protocol::RetrainCounters()> retrain_counters;
-  /// Test-only: invoked by a worker before executing each admitted
+  /// Test-only: invoked by a worker before executing each queued
   /// request. Lets tests hold the worker pool on a latch to fill the
-  /// admission queue deterministically (tests/server_test.cpp). Must be
-  /// null in production use.
+  /// admission queue deterministically (tests/server_test.cpp). Workers
+  /// only: a lone tune request a reader runs inline never calls it, so
+  /// tests park the worker on a queued non-tune request (`stats`). Must
+  /// be null in production use.
   std::function<void()> test_hook_before_execute;
 };
 
@@ -145,6 +166,11 @@ class Server {
     /// Set (under write_mu) before shutdown_write so no frame is ever
     /// truncated by the FIN and late writes fail fast instead of EPIPE.
     bool write_closed = false;
+    /// Admitted requests whose replies are not yet written. A reader
+    /// winding down on a framing fault waits (on settled_cv, under
+    /// write_mu) for zero before it half-closes the write side.
+    std::atomic<int> in_flight{0};
+    std::condition_variable settled_cv;
   };
 
   struct Job {
@@ -153,13 +179,29 @@ class Server {
     std::chrono::steady_clock::time_point admitted;
   };
 
+  /// A live connection's reader. The entry leaves readers_ when its
+  /// reader returns; in-flight jobs keep the Conn (and its socket) open
+  /// until their replies are written.
+  struct Reader {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
+  };
+  using ReaderIt = std::list<Reader>::iterator;
+
   void accept_loop();
-  void reader_loop(std::shared_ptr<Conn> conn);
+  void reader_loop(ReaderIt self);
   void worker_loop();
-  /// Admit or shed one decoded request. Returns false when the job was
-  /// shed (reply already sent).
-  bool admit(Job job);
+  /// Admit the requests decoded from one read, in order. A lone tune
+  /// request meeting an empty queue and a free worker runs here, on the
+  /// calling reader;
+  /// otherwise every job is queued under one lock acquisition and what
+  /// does not fit (or arrives while draining) is shed.
+  void admit(std::vector<Job>& jobs, bool lone_tune);
   void execute(const Job& job);
+  /// An admitted request's reply is written (or undeliverable).
+  static void settled(Conn& conn);
+  /// An execution finished: wake the drain once the server is idle.
+  void executed();
   /// Write one response frame. Returns false when it could not be
   /// delivered (write side closed, or the peer is gone).
   bool reply(Conn& conn, std::string_view payload);
@@ -178,15 +220,14 @@ class Server {
   std::condition_variable queue_cv_;  ///< workers: work available / stop
   std::condition_variable drain_cv_;  ///< shutdown: queue empty + idle
   std::deque<Job> queue_;
-  int executing_ = 0;
+  int executing_ = 0;         ///< jobs running, on workers or readers
   bool admitting_ = true;     ///< cleared first in shutdown()
   bool workers_stop_ = false; ///< set after the queue drains
 
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> readers_;
-  int live_readers_ = 0;               ///< readers not yet returned
-  std::condition_variable readers_cv_; ///< shutdown: a reader returned
+  std::mutex readers_mu_;
+  std::list<Reader> readers_;           ///< one per live connection
+  std::vector<std::thread> finished_;   ///< returned readers, to join
+  std::condition_variable readers_cv_;  ///< shutdown: a reader returned
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;

@@ -18,10 +18,13 @@
 /// broadcasts to every tenant, `observe` and the retraining loop bind
 /// tenant 0.
 ///
-/// The server's worker pool (`--workers`, fed by a `--queue`-deep
-/// admission queue) is the only scheduler: each worker serves its request
-/// on its own thread through TuningService::tune. `--precision` overrides
-/// the artifact's persisted serving tier.
+/// Each connection's reader serves a lone tune request itself when the
+/// admission queue is empty and a worker is free; every other request
+/// (pipelined backlogs, reload, observe, stats) goes through the
+/// `--queue`-deep admission queue to the `--workers` pool. At most
+/// `--workers` requests execute at once, inline or queued. Both serve on the executing thread
+/// through TuningService::tune. `--precision` overrides the artifact's
+/// persisted serving tier.
 ///
 /// `--observe-log PATH` opens (or creates) a core::MeasurementLog and
 /// enables the `observe` opcode: clients stream real (region, config,
@@ -92,7 +95,9 @@ struct Args {
       "--machine NAME[,NAME...]: one tenant per comma-separated machine\n"
       "(haswell, skylake, or gen:<seed>:<index>); multi-machine daemons\n"
       "need a fleet artifact.\n"
-      "--workers N serving threads drain a --queue N deep admission queue;\n"
+      "--workers N threads serve queued requests from a --queue N deep\n"
+      "admission queue; a lone tune request runs on its connection's reader\n"
+      "while a worker is free. At most --workers requests execute at once.\n"
       "--precision overrides the artifact's serving tier.\n"
       "--observe-log enables the observe opcode; --retrain-interval\n"
       "starts the gated online-retraining loop (requires --observe-log).\n"
