@@ -1,35 +1,24 @@
 #include "core/loocv.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "common/error.hpp"
+#include "nn/task_pool.hpp"
 
 namespace pnp::core {
 
 namespace {
 
-/// Run `body(fold)` for every fold. Folds are fully independent (each
-/// trains its own tuner and writes disjoint result cells), so with
-/// PNP_PARALLEL they run concurrently — results are bit-identical to the
-/// sequential order no matter the thread count.
+/// Run `body(fold)` for every fold, on a pool as wide as the CPU affinity
+/// mask. Folds are fully independent (each trains its own tuner and writes
+/// disjoint result cells), so results are bit-identical to the sequential
+/// order whatever the thread count. A fold's trainer runs on its own
+/// thread (TaskPool::in_task), so the cores split per fold, not inside
+/// each training. The first exception a fold throws is rethrown here.
 template <class Body>
 void for_each_fold(int num_folds, Body&& body) {
-#ifdef PNP_PARALLEL
-  std::exception_ptr err;
-#pragma omp parallel for schedule(dynamic, 1)
-  for (int fold = 0; fold < num_folds; ++fold) {
-    try {
-      body(fold);
-    } catch (...) {
-#pragma omp critical
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
-#else
-  for (int fold = 0; fold < num_folds; ++fold) body(fold);
-#endif
+  nn::TaskPool pool(std::min(num_folds, nn::affinity_cpu_count()));
+  pool.run(num_folds, [&](int fold, int) { body(fold); });
 }
 
 /// LOOCV fold structure over applications.

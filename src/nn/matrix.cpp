@@ -91,14 +91,6 @@ inline double* c_row(const GemmArgs& g, int i) {
   return g.c + static_cast<std::size_t>(idx) * g.ldc;
 }
 
-#ifdef PNP_PARALLEL
-// Row-parallel threshold: below ~this many MACs a parallel region costs
-// more than it saves. Row blocks are disjoint and per-element summation
-// order never depends on the thread count, so the parallel path is
-// bit-identical to the sequential one.
-constexpr double kParallelGrainMacs = 2.5e5;
-#endif
-
 template <AMode AM>
 inline double a_elem(const GemmArgs& g, int i, int p) {
   if constexpr (AM == AMode::Normal) {
@@ -324,16 +316,6 @@ void row_block(const GemmArgs& g, int i0, int mi) {
 
 template <AMode AM, CInit CI>
 void gemm_drive(const GemmArgs& g) {
-#ifdef PNP_PARALLEL
-  if (static_cast<double>(g.m) * static_cast<double>(g.k) *
-          static_cast<double>(g.n) >=
-      kParallelGrainMacs) {
-#pragma omp parallel for schedule(static)
-    for (int i0 = 0; i0 < g.m; i0 += kRowTile)
-      row_block<AM, CI>(g, i0, std::min(kRowTile, g.m - i0));
-    return;
-  }
-#endif
   for (int i0 = 0; i0 < g.m; i0 += kRowTile)
     row_block<AM, CI>(g, i0, std::min(kRowTile, g.m - i0));
 }

@@ -78,11 +78,9 @@ class Matrix {
 /// The gemm kernels hold register-blocked C tiles across the whole k
 /// reduction and use FMA SIMD micro-kernels when the build targets AVX-512
 /// or AVX2 (e.g. -march=native via the PNP_NATIVE option), falling back to
-/// a cache-blocked scalar path elsewhere. When the library is built with
-/// PNP_PARALLEL they are additionally OpenMP row-parallel above a flop
-/// threshold; row blocks of C are disjoint and each row's summation order
-/// is independent of the thread count, so parallel results are
-/// bit-identical to the single-thread run.
+/// a cache-blocked scalar path elsewhere. They run on the calling thread:
+/// the trainer parallelizes across samples and tensors, and the LOOCV
+/// driver across folds, never inside one product.
 void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C += Aᵀ · B. Shapes: A (k×m), B (k×n), C (m×n).
@@ -121,7 +119,7 @@ namespace detail {
 
 /// Textbook triple-loop reference kernels. Kept (and exported) as the
 /// ground truth the property tests in tests/nn_kernels_test.cpp compare
-/// the blocked/parallel kernels against.
+/// the blocked kernels against.
 void gemm_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);

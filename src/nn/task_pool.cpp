@@ -2,11 +2,15 @@
 
 #include <sched.h>
 
-#ifdef PNP_PARALLEL
-#include <omp.h>
-#endif
-
 namespace pnp::nn {
+
+namespace {
+
+/// Set on a pool's worker threads, and on a run()'s caller while it
+/// executes tasks next to them.
+thread_local bool t_in_task = false;
+
+}  // namespace
 
 int affinity_cpu_count() {
   cpu_set_t set;
@@ -16,7 +20,10 @@ int affinity_cpu_count() {
   return n > 0 ? n : 1;
 }
 
+bool TaskPool::in_task() { return t_in_task; }
+
 TaskPool::TaskPool(int threads) {
+  if (in_task()) return;
   for (int slot = 1; slot < threads; ++slot)
     workers_.emplace_back([this, slot] { worker_loop(slot); });
 }
@@ -35,16 +42,6 @@ void TaskPool::run(int n, const std::function<void(int, int)>& fn) {
     for (int i = 0; i < n; ++i) fn(i, 0);
     return;
   }
-#ifdef PNP_PARALLEL
-  // The pool already occupies the cores: keep the row-parallel GEMMs the
-  // tasks call from opening a nested OpenMP team on the calling thread
-  // (workers set the same in worker_loop). Results do not depend on it.
-  struct OmpSerial {
-    int saved = omp_get_max_threads();
-    OmpSerial() { omp_set_num_threads(1); }
-    ~OmpSerial() { omp_set_num_threads(saved); }
-  } omp_serial;
-#endif
   {
     std::lock_guard<std::mutex> lk(mu_);
     fn_ = &fn;
@@ -55,7 +52,10 @@ void TaskPool::run(int n, const std::function<void(int, int)>& fn) {
     ++generation_;
   }
   wake_cv_.notify_all();
+  const bool outer = t_in_task;
+  t_in_task = true;
   work(0);
+  t_in_task = outer;
   std::exception_ptr err;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -82,9 +82,7 @@ void TaskPool::work(int slot) {
 }
 
 void TaskPool::worker_loop(int slot) {
-#ifdef PNP_PARALLEL
-  omp_set_num_threads(1);
-#endif
+  t_in_task = true;
   std::uint64_t seen = 0;
   for (;;) {
     {

@@ -1,10 +1,16 @@
 #pragma once
 
 /// \file task_pool.hpp
-/// A small fixed-size std::thread pool for index-parallel loops — the
-/// trainer's two backward phases and its per-graph encodes run on one.
-/// The calling thread takes part in every loop, and the workers live
-/// exactly as long as the pool (its destructor joins them).
+/// A small fixed-size std::thread pool for index-parallel loops. It is the
+/// one parallel runtime of the library: the LOOCV folds of core/loocv.cpp
+/// run on one, and so do the trainer's two backward phases and its
+/// per-graph encodes. The calling thread takes part in every loop, and the
+/// workers live exactly as long as the pool (its destructor joins them).
+///
+/// Pools nest without oversubscribing: a pool created while its thread runs
+/// a task of a multi-threaded loop gets one thread (see in_task()). So the
+/// folds split the cores between them and each fold trains serially, while
+/// a lone training outside any pool gets every core.
 
 #include <atomic>
 #include <condition_variable>
@@ -25,7 +31,8 @@ int affinity_cpu_count();
 class TaskPool {
  public:
   /// `threads` counts the calling thread: threads - 1 workers are started
-  /// (none for threads <= 1, and then run() is a plain loop).
+  /// (none for threads <= 1 or inside a task, and then run() is a plain
+  /// loop).
   explicit TaskPool(int threads);
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
@@ -33,6 +40,10 @@ class TaskPool {
 
   /// Threads taking part in a loop, the caller included.
   int size() const { return static_cast<int>(workers_.size()) + 1; }
+
+  /// True while the calling thread executes a task of a run() that more
+  /// than one thread takes part in: the cores are then already shared out.
+  static bool in_task();
 
   /// Call fn(i, slot) once for every i in [0, n), in no particular order
   /// and on any thread. `slot` in [0, size()) names the executing thread:

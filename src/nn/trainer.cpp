@@ -5,10 +5,6 @@
 #include <cstdio>
 #include <unordered_map>
 
-#ifdef PNP_PARALLEL
-#include <omp.h>
-#endif
-
 #include "common/error.hpp"
 #include "nn/loss.hpp"
 #include "nn/task_pool.hpp"
@@ -23,12 +19,9 @@ void scale_grads(RgcnNet& net, double s) {
     for (double& g : p->g.flat()) g *= s;
 }
 
-/// TrainerConfig::threads → pool size. Inside an enclosing OpenMP region
-/// (concurrent LOOCV folds) the cores are already taken: one thread.
+/// TrainerConfig::threads → pool size. Inside a task of another pool
+/// (concurrent LOOCV folds) TaskPool itself caps the pool at one thread.
 int resolve_threads(int requested) {
-#ifdef PNP_PARALLEL
-  if (omp_in_parallel()) return 1;
-#endif
   return requested > 0 ? requested : affinity_cpu_count();
 }
 

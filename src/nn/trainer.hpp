@@ -53,8 +53,9 @@ struct TrainerConfig {
   std::uint64_t seed = 1234;
   bool verbose = false;
   /// Threads per mini-batch, the caller included: ≤ 0 = the calling
-  /// thread's CPU affinity count. Results do not depend on it. Inside an
-  /// enclosing OpenMP parallel region training runs on the calling thread.
+  /// thread's CPU affinity count. Results do not depend on it. Inside a
+  /// task of a multi-threaded TaskPool loop (e.g. a concurrent LOOCV fold)
+  /// training runs on the calling thread.
   int threads = 0;
 };
 

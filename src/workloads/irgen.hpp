@@ -3,7 +3,7 @@
 /// \file irgen.hpp
 /// Synthesis of mini-IR for an OpenMP region from its KernelDescriptor.
 ///
-/// Clang outlines `#pragma omp parallel` regions into functions; this
+/// Clang outlines OpenMP `parallel` regions into functions; this
 /// generator produces the equivalent outlined function so the rest of the
 /// pipeline (extract → PROGRAML graph → RGCN) is identical to the paper's.
 /// The generated code mirrors the descriptor:

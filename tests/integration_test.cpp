@@ -3,10 +3,13 @@
 /// drivers, and the transfer-learning workflow.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
 #include "core/loocv.hpp"
 #include "core/metrics.hpp"
+#include "nn/task_pool.hpp"
 #include "workloads/suite.hpp"
 
 namespace pnp::core {
@@ -192,22 +195,55 @@ TEST_F(IntegrationTest, LoocvFoldsExcludeValidationApp) {
     }
 }
 
+/// Pins the calling thread to the first CPU of its affinity mask for the
+/// scope's lifetime; threads it starts meanwhile inherit the one-CPU mask.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&saved_);
+    PNP_CHECK(sched_getaffinity(0, sizeof(saved_), &saved_) == 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved_)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    PNP_CHECK(sched_setaffinity(0, sizeof(one), &one) == 0);
+  }
+  ~PinToOneCpu() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
 TEST_F(IntegrationTest, DeterministicAcrossRuns) {
+  // The folds run on a pool as wide as the affinity mask: pinned to one
+  // CPU they run one after another, unpinned (on a multi-core host) they
+  // run concurrently. The cells must not depend on it.
   ExperimentOptions opt;
   opt.pnp = fast_pnp(123);
   opt.max_apps = 4;
   opt.run_pnp_dynamic = false;
   opt.run_baselines = false;
-  const auto a = run_power_experiment(*simulator_, *db_, opt);
-  const auto b = run_power_experiment(*simulator_, *db_, opt);
-  const auto& ca = a.tuners.at(kPnpStatic);
-  const auto& cb = b.tuners.at(kPnpStatic);
+  Scenario1Result serial;
+  {
+    PinToOneCpu pin;
+    ASSERT_EQ(nn::affinity_cpu_count(), 1);
+    serial = run_power_experiment(*simulator_, *db_, opt);
+  }
+  const auto concurrent = run_power_experiment(*simulator_, *db_, opt);
+  const auto& ca = serial.tuners.at(kPnpStatic);
+  const auto& cb = concurrent.tuners.at(kPnpStatic);
   const auto by_app = regions_by_app(*db_);
   for (int ai = 0; ai < 4; ++ai)
     for (int r : by_app[static_cast<std::size_t>(ai)].second)
-      for (std::size_t k = 0; k < a.caps.size(); ++k)
-        EXPECT_TRUE(ca[static_cast<std::size_t>(r)][k].cfg ==
-                    cb[static_cast<std::size_t>(r)][k].cfg);
+      for (std::size_t k = 0; k < serial.caps.size(); ++k) {
+        const S1Cell& a = ca[static_cast<std::size_t>(r)][k];
+        const S1Cell& b = cb[static_cast<std::size_t>(r)][k];
+        EXPECT_TRUE(a.cfg == b.cfg);
+        EXPECT_EQ(a.seconds, b.seconds);
+      }
 }
 
 }  // namespace

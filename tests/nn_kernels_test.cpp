@@ -1,11 +1,11 @@
 /// Equivalence property tests for the fast training engine: the
-/// blocked/SIMD (optionally OpenMP-parallel) GEMM kernels against the
-/// naive reference implementations across random shapes, the row-mapped
-/// CSR kernels against materialized gather/scatter, the CSR form of
-/// GraphTensors against the plain edge lists, the engine's RGCN forward
-/// against a from-scratch reference implementation, and the two-phase
-/// backward (input gradients per sample, then parameter gradients per
-/// tensor) against one-sample backward passes in sequence.
+/// blocked/SIMD GEMM kernels against the naive reference implementations
+/// across random shapes, the row-mapped CSR kernels against materialized
+/// gather/scatter, the CSR form of GraphTensors against the plain edge
+/// lists, the engine's RGCN forward against a from-scratch reference
+/// implementation, and the two-phase backward (input gradients per sample,
+/// then parameter gradients per tensor) against one-sample backward passes
+/// in sequence.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +71,7 @@ TEST(GemmKernels, MatchNaiveAcrossRandomShapes) {
 }
 
 TEST(GemmKernels, LargeShapesMatchNaive) {
-  // Big enough to cross the PNP_PARALLEL row-parallel threshold, so the
-  // OpenMP path (when built in) is exercised and must stay bit-compatible
-  // with its own sequential order.
+  // Many full micro-tiles in one product, plus a ragged row edge.
   Rng rng(11);
   const Matrix a = random_matrix(300, 64, rng);
   const Matrix b = random_matrix(64, 48, rng);

@@ -29,8 +29,8 @@
 ///
 /// Output is one stable JSON document (schema "pnp-eval-v3", self-checked
 /// with json_validate before writing): a pure function of the flags, so
-/// two runs with the same arguments are byte-identical — serial and
-/// OMP_NUM_THREADS-fixed PNP_PARALLEL builds included. CI runs it twice
+/// two runs with the same arguments are byte-identical, whatever the CPU
+/// affinity mask (and so the trainer's thread count). CI runs it twice
 /// and diffs.
 
 #include <cstdio>
