@@ -9,16 +9,21 @@ namespace pnp::core {
 
 namespace {
 
-/// Run `body(fold)` for every fold, on a pool as wide as the CPU affinity
-/// mask. Folds are fully independent (each trains its own tuner and writes
-/// disjoint result cells), so results are bit-identical to the sequential
-/// order whatever the thread count. A fold's trainer runs on its own
-/// thread (TaskPool::in_task), so the cores split per fold, not inside
-/// each training. The first exception a fold throws is rethrown here.
+/// Run `body(variant, fold)` for every (variant, fold) pair as one loop, on
+/// a pool as wide as the CPU affinity mask; a variant is one trained tuner
+/// configuration (a PnP variant or a held-out cap). One loop over all pairs
+/// keeps every core busy until the last pair starts, where a loop per
+/// variant would idle cores at each variant's tail. Pairs are fully
+/// independent (each trains its own tuner and writes disjoint result
+/// cells), so results are bit-identical to the sequential order whatever
+/// the thread count. A pair's trainer runs on its own thread
+/// (TaskPool::in_task), so the cores split per pair, not inside each
+/// training. The first exception a pair throws is rethrown here.
 template <class Body>
-void for_each_fold(int num_folds, Body&& body) {
-  nn::TaskPool pool(std::min(num_folds, nn::affinity_cpu_count()));
-  pool.run(num_folds, [&](int fold, int) { body(fold); });
+void for_each_fold(int num_variants, int num_folds, Body&& body) {
+  const int pairs = num_variants * num_folds;
+  nn::TaskPool pool(std::min(pairs, nn::affinity_cpu_count()));
+  pool.run(pairs, [&](int i, int) { body(i / num_folds, i % num_folds); });
 }
 
 /// LOOCV fold structure over applications.
@@ -46,12 +51,16 @@ Folds make_folds(const MeasurementDb& db, int max_apps) {
   return f;
 }
 
-/// Run scenario-1 LOOCV for one PnP variant; fills result[region][cap].
-void loocv_power(const sim::Simulator& sim, const MeasurementDb& db,
-                 const PnpOptions& pnp_opt, const Folds& folds,
-                 std::vector<std::vector<S1Cell>>& out) {
+/// Run scenario-1 LOOCV for each PnP variant; variant v fills
+/// (*variants[v].second)[region][cap].
+void loocv_power(
+    const sim::Simulator& sim, const MeasurementDb& db, const Folds& folds,
+    const std::vector<std::pair<PnpOptions, std::vector<std::vector<S1Cell>>*>>&
+        variants) {
   const auto& caps = db.space().power_caps();
-  for_each_fold(static_cast<int>(folds.by_app.size()), [&](int fold) {
+  for_each_fold(static_cast<int>(variants.size()),
+                static_cast<int>(folds.by_app.size()), [&](int v, int fold) {
+    const auto& [pnp_opt, out] = variants[static_cast<std::size_t>(v)];
     PnpTuner tuner(db, pnp_opt);
     tuner.train_power_scenario(folds.training_for(static_cast<std::size_t>(fold)));
     for (int r : folds.by_app[static_cast<std::size_t>(fold)].second) {
@@ -61,7 +70,7 @@ void loocv_power(const sim::Simulator& sim, const MeasurementDb& db,
         cell.cfg = cfg;
         cell.seconds =
             sim.expected(db.region(r).region->desc, cfg, caps[k]).seconds;
-        out[static_cast<std::size_t>(r)][k] = cell;
+        (*out)[static_cast<std::size_t>(r)][k] = cell;
       }
     }
   });
@@ -112,17 +121,17 @@ Scenario1Result run_power_experiment(const sim::Simulator& sim,
   const std::vector<std::vector<S1Cell>> empty(
       R, std::vector<S1Cell>(caps.size()));
 
-  if (opt.run_pnp_static) {
-    auto& cells = res.tuners[kPnpStatic] = empty;
-    loocv_power(sim, db, opt.pnp, folds, cells);
-  }
+  std::vector<std::pair<PnpOptions, std::vector<std::vector<S1Cell>>*>>
+      variants;
+  if (opt.run_pnp_static)
+    variants.emplace_back(opt.pnp, &(res.tuners[kPnpStatic] = empty));
   if (opt.run_pnp_dynamic) {
     PnpOptions dyn = opt.pnp;
     dyn.use_counters = true;
     dyn.seed = opt.pnp.seed ^ 0xd1;
-    auto& cells = res.tuners[kPnpDynamic] = empty;
-    loocv_power(sim, db, dyn, folds, cells);
+    variants.emplace_back(dyn, &(res.tuners[kPnpDynamic] = empty));
   }
+  loocv_power(sim, db, folds, variants);
   if (opt.run_baselines) {
     BlissTuner bliss(sim, db.space(), opt.baselines);
     OpenTunerLike otl(sim, db.space(), opt.baselines);
@@ -167,6 +176,7 @@ UnseenCapResult run_unseen_cap_experiment(const sim::Simulator& sim,
   res.default_seconds.assign(res.heldout_cap_indices.size(),
                              std::vector<double>(R, 0.0));
 
+  std::vector<PnpOptions> variants;
   for (std::size_t hi = 0; hi < res.heldout_cap_indices.size(); ++hi) {
     const int heldout = res.heldout_cap_indices[hi];
     for (int r = 0; r < db.num_regions(); ++r) {
@@ -185,23 +195,24 @@ UnseenCapResult run_unseen_cap_experiment(const sim::Simulator& sim,
     pnp.train_cap_indices.clear();
     for (int k = 0; k < static_cast<int>(caps.size()); ++k)
       if (k != heldout) pnp.train_cap_indices.push_back(k);
-
-    for_each_fold(static_cast<int>(folds.by_app.size()), [&](int fold) {
-      PnpTuner tuner(db, pnp);
-      tuner.train_power_scenario(
-          folds.training_for(static_cast<std::size_t>(fold)));
-      for (int r : folds.by_app[static_cast<std::size_t>(fold)].second) {
-        const auto cfg = tuner.predict_power_at(
-            r, caps[static_cast<std::size_t>(heldout)]);
-        S1Cell cell;
-        cell.cfg = cfg;
-        cell.seconds = sim.expected(db.region(r).region->desc, cfg,
-                                    caps[static_cast<std::size_t>(heldout)])
-                           .seconds;
-        res.pnp[hi][static_cast<std::size_t>(r)] = cell;
-      }
-    });
+    variants.push_back(std::move(pnp));
   }
+
+  for_each_fold(static_cast<int>(variants.size()),
+                static_cast<int>(folds.by_app.size()), [&](int hi, int fold) {
+    const auto hs = static_cast<std::size_t>(hi);
+    const double cap = caps[static_cast<std::size_t>(res.heldout_cap_indices[hs])];
+    PnpTuner tuner(db, variants[hs]);
+    tuner.train_power_scenario(
+        folds.training_for(static_cast<std::size_t>(fold)));
+    for (int r : folds.by_app[static_cast<std::size_t>(fold)].second) {
+      const auto cfg = tuner.predict_power_at(r, cap);
+      S1Cell cell;
+      cell.cfg = cfg;
+      cell.seconds = sim.expected(db.region(r).region->desc, cfg, cap).seconds;
+      res.pnp[hs][static_cast<std::size_t>(r)] = cell;
+    }
+  });
   return res;
 }
 
@@ -237,32 +248,34 @@ Scenario2Result run_edp_experiment(const sim::Simulator& sim,
     return S2Cell{cap_index, cfg, er.seconds, er.joules, 0};
   };
 
-  auto run_pnp_variant = [&](const PnpOptions& pnp_opt, const char* name) {
+  std::vector<std::pair<PnpOptions, std::vector<S2Cell>*>> variants;
+  auto add_variant = [&](const PnpOptions& pnp_opt, const char* name) {
     auto& cells = res.tuners[name];
     cells.assign(R, S2Cell{});
-    for_each_fold(static_cast<int>(folds.by_app.size()), [&](int fold) {
-      PnpTuner tuner(db, pnp_opt);
-      tuner.train_edp_scenario(
-          folds.training_for(static_cast<std::size_t>(fold)));
-      for (int r : folds.by_app[static_cast<std::size_t>(fold)].second) {
-        const auto jc = tuner.predict_edp(r);
-        cells[static_cast<std::size_t>(r)] = eval_choice(r, jc.cap_index, jc.cfg);
-      }
-    });
+    variants.emplace_back(pnp_opt, &cells);
   };
-
   if (opt.run_pnp_static) {
     PnpOptions pnp = opt.pnp;
     pnp.use_adamw = false;  // Table II: plain Adam for the EDP scenario
-    run_pnp_variant(pnp, kPnpStatic);
+    add_variant(pnp, kPnpStatic);
   }
   if (opt.run_pnp_dynamic) {
     PnpOptions pnp = opt.pnp;
     pnp.use_adamw = false;
     pnp.use_counters = true;
     pnp.seed = opt.pnp.seed ^ 0xd2;
-    run_pnp_variant(pnp, kPnpDynamic);
+    add_variant(pnp, kPnpDynamic);
   }
+  for_each_fold(static_cast<int>(variants.size()),
+                static_cast<int>(folds.by_app.size()), [&](int v, int fold) {
+    const auto& [pnp_opt, cells] = variants[static_cast<std::size_t>(v)];
+    PnpTuner tuner(db, pnp_opt);
+    tuner.train_edp_scenario(folds.training_for(static_cast<std::size_t>(fold)));
+    for (int r : folds.by_app[static_cast<std::size_t>(fold)].second) {
+      const auto jc = tuner.predict_edp(r);
+      (*cells)[static_cast<std::size_t>(r)] = eval_choice(r, jc.cap_index, jc.cfg);
+    }
+  });
   if (opt.run_baselines) {
     BlissTuner bliss(sim, db.space(), opt.baselines);
     OpenTunerLike otl(sim, db.space(), opt.baselines);

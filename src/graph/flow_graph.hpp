@@ -77,18 +77,41 @@ class FlowGraph {
 /// Compressed-sparse-row view of one model relation, grouped by target
 /// node: the sources aggregated by target `t` are
 /// `src[row_offset[t] .. row_offset[t+1])`, in the order the edges were
-/// added. `inv_deg[t]` is the RGCN normalization constant 1/c_{t,r}
-/// (0.0 for targets with no in-edges), and `active_dst` lists, in
-/// ascending order, exactly the targets with at least one in-edge — the
-/// only rows a message-passing kernel needs to visit.
+/// added. `active_dst` lists, in ascending order, exactly the targets with
+/// at least one in-edge — the only rows a message-passing kernel needs to
+/// visit — and `inv_deg[i]` is the RGCN normalization constant 1/c_{t,r}
+/// of its i-th entry t.
 struct RelationCsr {
   std::vector<int> row_offset;  ///< size num_nodes + 1
   std::vector<int> src;         ///< edge sources grouped by target
-  std::vector<double> inv_deg;  ///< size num_nodes; 1/deg or 0.0
   std::vector<int> active_dst;  ///< targets with deg > 0, ascending
+  std::vector<double> inv_deg;  ///< size num_active(); 1/deg of active_dst[i]
 
   int num_edges() const { return static_cast<int>(src.size()); }
   int num_active() const { return static_cast<int>(active_dst.size()); }
+};
+
+/// The target rows of one graph grouped for the fused RGCN layer kernel
+/// (nn::rgcn_layer). A node's signature is the bitmask of the relations in
+/// which it has at least one in-edge. `order` lists the nodes sorted by
+/// signature (ascending node ids within one signature), and is cut into
+/// tiles of at most kTileRows nodes that share one signature, so every row
+/// of a tile accumulates the same relations. For tile t:
+///  - its nodes are `order[tile_start[t] .. tile_start[t+1])`;
+///  - `tile_sig[t]` is their common signature;
+///  - `mrow[tile_mrow[t] ..]` holds, for each relation of the signature in
+///    ascending order, one row index per tile node into that relation's
+///    compressed aggregate — the node's position in RelationCsr::active_dst.
+struct RowPlan {
+  static constexpr int kTileRows = 8;
+
+  std::vector<int> order;
+  std::vector<int> tile_start;  ///< size num_tiles() + 1
+  std::vector<std::uint8_t> tile_sig;
+  std::vector<int> tile_mrow;  ///< size num_tiles()
+  std::vector<int> mrow;
+
+  int num_tiles() const { return static_cast<int>(tile_sig.size()); }
 };
 
 /// Edge lists regrouped per model relation (3 edge types × 2 directions) —
@@ -107,9 +130,10 @@ struct GraphTensors {
   /// constants c_{i,r} of the RGCN).
   std::vector<int> in_degree(int relation) const;
 
-  /// Build the per-relation CSR forms now. `to_tensors` calls this once at
-  /// construction; calling it again after `rel_edges` grew rebuilds only
-  /// the changed relations. Safe to skip: csr() builds lazily.
+  /// Build the per-relation CSR forms and the row plan now. `to_tensors`
+  /// calls this once at construction; calling it again after `rel_edges`
+  /// grew rebuilds only the changed relations (and the plan). Safe to
+  /// skip: csr() and row_plan() build lazily.
   void finalize() const;
 
   /// CSR view of one model relation. Lazily (re)built when the relation's
@@ -121,11 +145,19 @@ struct GraphTensors {
   /// threads.
   const RelationCsr& csr(int relation) const;
 
+  /// Row plan over the current CSR forms: lazily (re)built, with the same
+  /// staleness rule and thread-safety caveat as csr().
+  const RowPlan& row_plan() const;
+
  private:
   mutable std::array<RelationCsr, kNumModelRelations> csr_;
   mutable std::array<std::size_t, kNumModelRelations> csr_edges_{};
   mutable std::array<int, kNumModelRelations> csr_nodes_{};
   mutable std::array<bool, kNumModelRelations> csr_built_{};
+  mutable RowPlan plan_;
+  /// The CSR shapes (csr_edges_, csr_nodes_) plan_ was built from.
+  mutable std::array<std::size_t, kNumModelRelations> plan_edges_{};
+  mutable int plan_nodes_ = -1;
 };
 
 }  // namespace pnp::graph

@@ -1,6 +1,7 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
@@ -11,6 +12,7 @@
 #endif
 
 #include "common/error.hpp"
+#include "graph/flow_graph.hpp"
 
 namespace pnp::nn {
 
@@ -103,6 +105,57 @@ inline double a_elem(const GemmArgs& g, int i, int p) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Fused RGCN layer kernel (rgcn_layer). A micro-tile is a slice of one row
+// plan tile: its C rows share a relation set, so they accumulate the self
+// term and the same relation segments in registers, then leave through the
+// activation in one store. Operand row strides are the shapes' widths: k
+// for A and every M, n for B, every W and C.
+// ---------------------------------------------------------------------------
+
+struct LayerArgs {
+  const double* a;
+  const double* b;
+  const double* bias;
+  const double* const* m;  // per relation
+  const double* const* w;  // per relation
+  double* c;
+  int n, k, nrel;
+  double slope;
+};
+
+// Up to kRowTile rows of one plan tile: node ids `rows`, relation set
+// `sig`, and the M-row maps of its q-th relation at mrow + q * stride.
+struct TileRows {
+  const int* rows;
+  unsigned sig;
+  const int* mrow;
+  int stride;
+};
+
+template <class T>
+inline T* k_row(T* base, int row, int width) {
+  return base + static_cast<std::size_t>(row) * static_cast<std::size_t>(width);
+}
+
+// The segments of one micro-tile, in the order every ISA branch must
+// accumulate them for bit-identity with the composed kernels: the self
+// term H·W₀, then each relation of the tile's set in ascending order.
+// Calls seg(rows, weights) with the tile rows of that segment's A operand.
+template <int MI, class Seg>
+inline void for_each_segment(const LayerArgs& g, const TileRows& t, Seg&& seg) {
+  const double* ar[MI];
+  for (int r = 0; r < MI; ++r) ar[r] = k_row(g.a, t.rows[r], g.k);
+  seg(ar, g.b);
+  const int* mr = t.mrow;
+  for (int rel = 0; rel < g.nrel; ++rel) {
+    if (!((t.sig >> rel) & 1u)) continue;
+    for (int r = 0; r < MI; ++r) ar[r] = k_row(g.m[rel], mr[r], g.k);
+    seg(ar, g.w[rel]);
+    mr += t.stride;
+  }
+}
+
 #if defined(__AVX512F__)
 
 constexpr int kRowTile = 8;   // C rows per micro-tile
@@ -187,6 +240,69 @@ void row_block(const GemmArgs& g, int i0, int mi) {
   }
 }
 
+template <int MI, int NV>
+inline void layer_segment(__m512d (&acc)[MI][NV], const double* const (&ar)[MI],
+                          const double* b, const LayerArgs& g, int j0,
+                          __mmask8 tail) {
+  for (int p = 0; p < g.k; ++p) {
+    const double* bp = k_row(b, p, g.n) + j0;
+    __m512d bv[NV];
+    for (int v = 0; v < NV; ++v)
+      bv[v] = (v == NV - 1) ? _mm512_maskz_loadu_pd(tail, bp + 8 * v)
+                            : _mm512_loadu_pd(bp + 8 * v);
+    for (int r = 0; r < MI; ++r) {
+      const __m512d av = _mm512_set1_pd(ar[r][p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_fmadd_pd(av, bv[v], acc[r][v]);
+    }
+  }
+}
+
+template <int MI, int NV>
+void layer_micro(const LayerArgs& g, const TileRows& t, int j0, __mmask8 tail) {
+  __m512d acc[MI][NV];
+  for (int r = 0; r < MI; ++r)
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = (v == NV - 1)
+                      ? _mm512_maskz_loadu_pd(tail, g.bias + j0 + 8 * v)
+                      : _mm512_loadu_pd(g.bias + j0 + 8 * v);
+  for_each_segment<MI>(g, t, [&](const double* const (&ar)[MI], const double* b) {
+    layer_segment<MI, NV>(acc, ar, b, g, j0, tail);
+  });
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d slope = _mm512_set1_pd(g.slope);
+  for (int r = 0; r < MI; ++r) {
+    double* cr = k_row(g.c, t.rows[r], g.n) + j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m512d x = acc[r][v];
+      const __m512d y =
+          _mm512_mask_blend_pd(_mm512_cmp_pd_mask(x, zero, _CMP_GT_OQ),
+                               _mm512_mul_pd(slope, x), x);
+      if (v == NV - 1)
+        _mm512_mask_storeu_pd(cr + 8 * v, tail, y);
+      else
+        _mm512_storeu_pd(cr + 8 * v, y);
+    }
+  }
+}
+
+template <int MI>
+void layer_cols(const LayerArgs& g, const TileRows& t) {
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile)
+    layer_micro<MI, 3>(g, t, j0, 0xff);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const auto tail =
+      static_cast<__mmask8>((rem % 8) ? ((1u << (rem % 8)) - 1u) : 0xffu);
+  switch ((rem + 7) / 8) {
+    case 1: layer_micro<MI, 1>(g, t, j0, tail); break;
+    case 2: layer_micro<MI, 2>(g, t, j0, tail); break;
+    case 3: layer_micro<MI, 3>(g, t, j0, tail); break;
+    default: break;
+  }
+}
+
 #elif defined(__AVX2__) && defined(__FMA__)
 
 constexpr int kRowTile = 4;  // C rows per micro-tile
@@ -267,6 +383,65 @@ void row_block(const GemmArgs& g, int i0, int mi) {
   }
 }
 
+template <int MI, int NV>
+inline void layer_segment(__m256d (&acc)[MI][NV], const double* const (&ar)[MI],
+                          const double* b, const LayerArgs& g, int j0,
+                          __m256i tail) {
+  for (int p = 0; p < g.k; ++p) {
+    const double* bp = k_row(b, p, g.n) + j0;
+    __m256d bv[NV];
+    for (int v = 0; v < NV; ++v)
+      bv[v] = (v == NV - 1) ? _mm256_maskload_pd(bp + 4 * v, tail)
+                            : _mm256_loadu_pd(bp + 4 * v);
+    for (int r = 0; r < MI; ++r) {
+      const __m256d av = _mm256_set1_pd(ar[r][p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm256_fmadd_pd(av, bv[v], acc[r][v]);
+    }
+  }
+}
+
+template <int MI, int NV>
+void layer_micro(const LayerArgs& g, const TileRows& t, int j0, __m256i tail) {
+  __m256d acc[MI][NV];
+  for (int r = 0; r < MI; ++r)
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = (v == NV - 1) ? _mm256_maskload_pd(g.bias + j0 + 4 * v, tail)
+                                : _mm256_loadu_pd(g.bias + j0 + 4 * v);
+  for_each_segment<MI>(g, t, [&](const double* const (&ar)[MI], const double* b) {
+    layer_segment<MI, NV>(acc, ar, b, g, j0, tail);
+  });
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d slope = _mm256_set1_pd(g.slope);
+  for (int r = 0; r < MI; ++r) {
+    double* cr = k_row(g.c, t.rows[r], g.n) + j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m256d x = acc[r][v];
+      const __m256d y = _mm256_blendv_pd(_mm256_mul_pd(slope, x), x,
+                                         _mm256_cmp_pd(x, zero, _CMP_GT_OQ));
+      if (v == NV - 1)
+        _mm256_maskstore_pd(cr + 4 * v, tail, y);
+      else
+        _mm256_storeu_pd(cr + 4 * v, y);
+    }
+  }
+}
+
+template <int MI>
+void layer_cols(const LayerArgs& g, const TileRows& t) {
+  const __m256i full = avx2_tail_mask(4);
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile)
+    layer_micro<MI, 2>(g, t, j0, full);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const __m256i tail = avx2_tail_mask((rem % 4) ? rem % 4 : 4);
+  if (rem > 4)
+    layer_micro<MI, 2>(g, t, j0, tail);
+  else
+    layer_micro<MI, 1>(g, t, j0, tail);
+}
+
 #else  // scalar fallback
 
 constexpr int kRowTile = 4;
@@ -312,7 +487,57 @@ void row_block(const GemmArgs& g, int i0, int mi) {
   }
 }
 
+template <int MI>
+inline void layer_segment(double (&acc)[MI][kColTile],
+                          const double* const (&ar)[MI], const double* b,
+                          const LayerArgs& g, int j0, int nj) {
+  for (int p = 0; p < g.k; ++p) {
+    const double* bp = k_row(b, p, g.n) + j0;
+    double av[MI];
+    for (int r = 0; r < MI; ++r) av[r] = ar[r][p];
+    for (int r = 0; r < MI; ++r)
+      for (int j = 0; j < nj; ++j) acc[r][j] += av[r] * bp[j];
+  }
+}
+
+template <int MI>
+void layer_micro(const LayerArgs& g, const TileRows& t, int j0, int nj) {
+  double acc[MI][kColTile];
+  for (int r = 0; r < MI; ++r)
+    for (int j = 0; j < nj; ++j) acc[r][j] = g.bias[j0 + j];
+  for_each_segment<MI>(g, t, [&](const double* const (&ar)[MI], const double* b) {
+    layer_segment<MI>(acc, ar, b, g, j0, nj);
+  });
+  for (int r = 0; r < MI; ++r) {
+    double* cr = k_row(g.c, t.rows[r], g.n) + j0;
+    for (int j = 0; j < nj; ++j) {
+      const double x = acc[r][j];
+      cr[j] = x > 0.0 ? x : g.slope * x;
+    }
+  }
+}
+
+template <int MI>
+void layer_cols(const LayerArgs& g, const TileRows& t) {
+  for (int j0 = 0; j0 < g.n; j0 += kColTile)
+    layer_micro<MI>(g, t, j0, std::min(kColTile, g.n - j0));
+}
+
 #endif  // ISA selection
+
+static_assert(graph::RowPlan::kTileRows % kRowTile == 0,
+              "a plan tile splits into whole micro-tiles");
+
+/// layer_cols<mi> for a runtime row count mi in [1, kRowTile].
+template <int MI = kRowTile>
+void layer_rows(const LayerArgs& g, const TileRows& t, int mi) {
+  if constexpr (MI >= 1) {
+    if (mi == MI)
+      layer_cols<MI>(g, t);
+    else
+      layer_rows<MI - 1>(g, t, mi);
+  }
+}
 
 template <AMode AM, CInit CI>
 void gemm_drive(const GemmArgs& g) {
@@ -351,18 +576,39 @@ void gemm_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   gemm_drive<AMode::Normal, CInit::Acc>(g);
 }
 
-void gemm_bias(const Matrix& a, const Matrix& b, std::span<const double> bias,
-               Matrix& c) {
-  PNP_CHECK_MSG(a.cols() == b.rows() && a.rows() == c.rows() &&
-                    b.cols() == c.cols(),
-                "gemm_bias shapes mismatch");
-  PNP_CHECK(bias.empty() || static_cast<int>(bias.size()) == c.cols());
-  const GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
-                   b.data(),  static_cast<std::size_t>(b.cols()),
-                   c.data(),  static_cast<std::size_t>(c.cols()),
-                   bias.empty() ? nullptr : bias.data(),
-                   c.rows(),  c.cols(),  a.cols()};
-  gemm_drive<AMode::Normal, CInit::Fresh>(g);
+void rgcn_layer(const Matrix& a, const Matrix& b, std::span<const double> bias,
+                std::span<const Matrix* const> m,
+                std::span<const Matrix* const> w, const graph::RowPlan& plan,
+                double slope, Matrix& c) {
+  const int k = a.cols(), n = b.cols();
+  PNP_CHECK_MSG(b.rows() == k && c.rows() == a.rows() && c.cols() == n &&
+                    static_cast<int>(bias.size()) == n &&
+                    static_cast<int>(plan.order.size()) == a.rows() &&
+                    m.size() == w.size() &&
+                    m.size() <= static_cast<std::size_t>(
+                                    graph::kNumModelRelations),
+                "rgcn_layer shapes mismatch");
+  std::array<const double*, graph::kNumModelRelations> mp{}, wp{};
+  for (std::size_t r = 0; r < m.size(); ++r) {
+    PNP_CHECK(m[r]->cols() == k && w[r]->rows() == k && w[r]->cols() == n);
+    mp[r] = m[r]->data();
+    wp[r] = w[r]->data();
+  }
+  const LayerArgs g{a.data(), b.data(),  bias.data(),
+                    mp.data(), wp.data(), c.data(),
+                    n,         k,         static_cast<int>(m.size()),
+                    slope};
+  for (int t = 0; t < plan.num_tiles(); ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    const int first = plan.tile_start[ti];
+    const int rows = plan.tile_start[ti + 1] - first;
+    const int* mrow = plan.mrow.data() + plan.tile_mrow[ti];
+    for (int i0 = 0; i0 < rows; i0 += kRowTile)
+      layer_rows(g,
+                 TileRows{plan.order.data() + first + i0, plan.tile_sig[ti],
+                          mrow + i0, rows},
+                 std::min(kRowTile, rows - i0));
+  }
 }
 
 void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -398,19 +644,6 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
                    c.data(),  static_cast<std::size_t>(c.cols()),
                    nullptr,   c.rows(), c.cols(), a.cols()};
   gemm_drive<AMode::Normal, CInit::Fresh>(g);
-}
-
-void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::span<const int> rows) {
-  PNP_CHECK_MSG(a.cols() == b.rows() && b.cols() == c.cols() &&
-                    static_cast<int>(rows.size()) == a.rows(),
-                "gemm_acc_rows shapes mismatch");
-  GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
-             b.data(),  static_cast<std::size_t>(b.cols()),
-             c.data(),  static_cast<std::size_t>(c.cols()),
-             nullptr,   a.rows(), c.cols(), a.cols()};
-  g.cmap = rows.data();
-  gemm_drive<AMode::Normal, CInit::Acc>(g);
 }
 
 void gemm_tn_acc_rows(const Matrix& a, const Matrix& b,
@@ -488,6 +721,33 @@ void gemm_nt_acc_naive(const Matrix& a, const Matrix& b, Matrix& c) {
       ci[j] += s;
     }
   }
+}
+
+void gemm_bias(const Matrix& a, const Matrix& b, std::span<const double> bias,
+               Matrix& c) {
+  PNP_CHECK_MSG(a.cols() == b.rows() && a.rows() == c.rows() &&
+                    b.cols() == c.cols(),
+                "gemm_bias shapes mismatch");
+  PNP_CHECK(bias.empty() || static_cast<int>(bias.size()) == c.cols());
+  const GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
+                   b.data(),  static_cast<std::size_t>(b.cols()),
+                   c.data(),  static_cast<std::size_t>(c.cols()),
+                   bias.empty() ? nullptr : bias.data(),
+                   c.rows(),  c.cols(),  a.cols()};
+  gemm_drive<AMode::Normal, CInit::Fresh>(g);
+}
+
+void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                   std::span<const int> rows) {
+  PNP_CHECK_MSG(a.cols() == b.rows() && b.cols() == c.cols() &&
+                    static_cast<int>(rows.size()) == a.rows(),
+                "gemm_acc_rows shapes mismatch");
+  GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
+             b.data(),  static_cast<std::size_t>(b.cols()),
+             c.data(),  static_cast<std::size_t>(c.cols()),
+             nullptr,   a.rows(), c.cols(), a.cols()};
+  g.cmap = rows.data();
+  gemm_drive<AMode::Normal, CInit::Acc>(g);
 }
 
 }  // namespace detail

@@ -13,6 +13,10 @@
 
 #include "common/rng.hpp"
 
+namespace pnp::graph {
+struct RowPlan;
+}  // namespace pnp::graph
+
 namespace pnp::nn {
 
 class Matrix {
@@ -89,24 +93,31 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& c);
 /// C += A · Bᵀ. Shapes: A (m×k), B (n×k), C (m×n).
 void gemm_nt_acc(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A · B (+ bias broadcast to every row when non-empty). The
-/// overwrite/bias-fused variants save the zero-fill + bias passes the
-/// accumulate forms would need; shapes as gemm_acc, bias size n or 0.
-void gemm_bias(const Matrix& a, const Matrix& b, std::span<const double> bias,
-               Matrix& c);
-
 /// C = A · Bᵀ (overwrite). Shapes as gemm_nt_acc.
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// Row-mapped variants for CSR message passing: instead of materializing
-/// gathered/scattered copies of the compressed per-relation matrices, the
-/// kernels index the mapped operand's rows directly. `rows` must hold
-/// distinct valid row indices of the mapped matrix.
+/// One RGCN layer's output in one pass over it (the fused layer kernel).
+/// For every node i of `plan`, with s the signature of i's tile:
 ///
-/// C.row(rows[i]) += A.row(i) · B — scatter-accumulate (rows of C).
-void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
-                   std::span<const int> rows);
+///   C.row(i) = act( bias + A.row(i)·B + Σ_{r∈s, ascending} M[r].row(m_ir)·W[r] )
+///
+/// with act(x) = x > 0 ? x : slope·x and m_ir the plan's M-row map. A
+/// tile's C rows stay in registers from the bias to the activation, and
+/// every element sees the multiply-add chain of detail::gemm_bias followed
+/// by one detail::gemm_acc_rows per active relation, in ascending order,
+/// and an activation pass: the result is bit-identical to that
+/// composition. Shapes: A (N×k), B (k×n), bias n, C (N×n), and per
+/// relation r, M[r] (active_r×k) and W[r] (k×n).
+void rgcn_layer(const Matrix& a, const Matrix& b, std::span<const double> bias,
+                std::span<const Matrix* const> m,
+                std::span<const Matrix* const> w, const graph::RowPlan& plan,
+                double slope, Matrix& c);
 
+/// Row-mapped variants for CSR message passing: instead of materializing
+/// gathered copies of the compressed per-relation matrices, the kernels
+/// index the mapped operand's rows directly. `rows` must hold distinct
+/// valid row indices of the mapped matrix.
+///
 /// C += Aᵀ · B_sel with B_sel.row(p) = b.row(rows[p]) — gathered B.
 void gemm_tn_acc_rows(const Matrix& a, const Matrix& b,
                       std::span<const int> rows, Matrix& c);
@@ -123,6 +134,18 @@ namespace detail {
 void gemm_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_acc_naive(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// The blocked kernels rgcn_layer fuses, kept as the composition its
+/// bit-identity test compares against.
+///
+/// C = A · B (+ bias broadcast to every row when non-empty); shapes as
+/// gemm_acc, bias size n or 0.
+void gemm_bias(const Matrix& a, const Matrix& b, std::span<const double> bias,
+               Matrix& c);
+
+/// C.row(rows[i]) += A.row(i) · B — scatter-accumulate into distinct rows.
+void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                   std::span<const int> rows);
 
 }  // namespace detail
 

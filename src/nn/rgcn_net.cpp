@@ -9,7 +9,6 @@ namespace pnp::nn {
 
 namespace {
 
-inline double leaky(double x, double slope) { return x > 0.0 ? x : slope * x; }
 inline double leaky_grad(double x, double slope) { return x > 0.0 ? 1.0 : slope; }
 inline double relu(double x) { return x > 0.0 ? x : 0.0; }
 inline double relu_grad(double x) { return x > 0.0 ? 1.0 : 0.0; }
@@ -124,6 +123,8 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
     for (int d = 0; d < cfg_.emb_dim; ++d) out[d] = trow[d] + krow[d];
   }
 
+  const graph::RowPlan& plan = g.row_plan();
+  std::array<const Matrix*, graph::kNumModelRelations> m_ptr{}, w_ptr{};
   for (int l = 0; l < L; ++l) {
     const auto li = static_cast<std::size_t>(l);
     const Matrix& h = cache.H[li];
@@ -133,13 +134,6 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
     auto& ms = cache.M[li];
     ms.resize(nrel);
     if (cfg_.num_bases > 0) cache.relw[li].resize(nrel);
-
-    // Self-loop term with the bias folded into the kernel's C-tile init:
-    // Z = H·W₀ + b, relations then accumulate on top — in the buffer of
-    // the layer's output, activated in place below.
-    Matrix& z = cache.H[li + 1];
-    z.resize(n, cfg_.hidden);
-    gemm_bias(h, P(lp.w0).w, P(lp.bias).w.flat(), z);
 
     for (int r = 0; r < cfg_.num_relations; ++r) {
       const auto ri = static_cast<std::size_t>(r);
@@ -155,7 +149,7 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
             static_cast<std::size_t>(csr.active_dst[static_cast<std::size_t>(idx)]);
         const int b0 = csr.row_offset[dst];
         const int b1 = csr.row_offset[dst + 1];
-        const double inv = csr.inv_deg[dst];
+        const double inv = csr.inv_deg[static_cast<std::size_t>(idx)];
         double* out = mc.row(idx);
         const double* hs = h.row(csr.src[static_cast<std::size_t>(b0)]);
         for (int d = 0; d < d_in; ++d) out[d] = inv * hs[d];
@@ -165,17 +159,22 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
         }
       }
 
-      // Z rows of active targets += M_r · W_r, scatter-accumulated by the
-      // row-mapped kernel. Basis-combined weights land in the cache so the
-      // backward pass reuses them instead of recombining.
-      const Matrix& wr =
-          cfg_.num_bases > 0
-              ? relation_weight(lp, r, cache.relw[li][ri])
-              : P(lp.wr[ri]).w;
-      if (active == 0) continue;
-      gemm_acc_rows(mc, wr, z, csr.active_dst);
+      // Basis-combined weights land in the cache so the backward pass
+      // reuses them instead of recombining.
+      m_ptr[ri] = &mc;
+      w_ptr[ri] = cfg_.num_bases > 0
+                      ? &relation_weight(lp, r, cache.relw[li][ri])
+                      : &P(lp.wr[ri]).w;
     }
-    for (double& v : z.flat()) v = leaky(v, cfg_.leaky_slope);
+
+    // The whole layer in one pass over its output, tile by tile of the
+    // row plan: Z = H·W₀ + b plus every active relation's M_r·W_r, then
+    // the activation, with each tile's rows held in registers throughout.
+    Matrix& z = cache.H[li + 1];
+    z.resize(n, cfg_.hidden);
+    rgcn_layer(h, P(lp.w0).w, P(lp.bias).w.flat(),
+               std::span(m_ptr).first(nrel), std::span(w_ptr).first(nrel),
+               plan, cfg_.leaky_slope, z);
   }
 
   // Mean-pool readout over all nodes.
@@ -422,7 +421,7 @@ void RgcnNet::gnn_input_grads(const GnnCache& cache,
       for (int idx = 0; idx < active; ++idx) {
         const auto dst = static_cast<std::size_t>(
             csr.active_dst[static_cast<std::size_t>(idx)]);
-        const double inv = csr.inv_deg[dst];
+        const double inv = csr.inv_deg[static_cast<std::size_t>(idx)];
         double* dmt = dmc.row(idx);
         for (int d = 0; d < d_in; ++d) dmt[d] *= inv;
         const int b0 = csr.row_offset[dst];

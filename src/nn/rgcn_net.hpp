@@ -63,9 +63,9 @@ class RgcnNet {
   struct GnnCache {
     const graph::GraphTensors* g = nullptr;
     /// H[0] = embedding output … H[L] = final node features (all N×d).
-    /// Layer l's pre-activation Z_l is built in H[l+1]'s buffer and
-    /// activated in place; with a non-negative slope H[l+1] > 0 exactly
-    /// where Z_l > 0, which is all the backward pass needs of Z_l.
+    /// Layer l's pre-activation Z_l is never stored: the fused layer kernel
+    /// activates it in registers. With a non-negative slope H[l+1] > 0
+    /// exactly where Z_l > 0, which is all the backward pass needs of Z_l.
     std::vector<Matrix> H;
     /// Per-layer, per-relation normalized aggregates in CSR-compressed
     /// form: row i of M[l][r] is Â_r·H for the i-th *active* target of

@@ -181,11 +181,13 @@ TEST(ArenaPlan, PropertyRandomIntervalsSafeAndBounded) {
     EXPECT_LE(plan.total_bytes(), no_reuse) << "trial " << trial;
 
     for (std::size_t i = 0; i < plan.size(); ++i)
-      for (std::size_t j = i + 1; j < plan.size(); ++j)
-        if (lifetimes_overlap(plan.at(i).spec, plan.at(j).spec))
+      for (std::size_t j = i + 1; j < plan.size(); ++j) {
+        if (lifetimes_overlap(plan.at(i).spec, plan.at(j).spec)) {
           EXPECT_FALSE(bytes_overlap(plan.at(i), plan.at(j)))
               << "trial " << trial << ": tensors " << i << " and " << j
               << " overlap in both lifetime and bytes";
+        }
+      }
   }
 }
 

@@ -151,13 +151,13 @@ TEST(Generator, EveryRegionExtractsAndBuildsWellFormedFlowGraph) {
           EXPECT_EQ(csr.src[static_cast<std::size_t>(csr.row_offset[vi] + j)],
                     by_target[vi][static_cast<std::size_t>(j)]);
         if (row > 0) {
+          ASSERT_LT(expected_active.size(), csr.inv_deg.size());
+          EXPECT_DOUBLE_EQ(csr.inv_deg[expected_active.size()], 1.0 / row);
           expected_active.push_back(v);
-          EXPECT_DOUBLE_EQ(csr.inv_deg[vi], 1.0 / row);
-        } else {
-          EXPECT_DOUBLE_EQ(csr.inv_deg[vi], 0.0);
         }
       }
       EXPECT_EQ(csr.active_dst, expected_active);
+      EXPECT_EQ(csr.inv_deg.size(), expected_active.size());
     }
   }
 }

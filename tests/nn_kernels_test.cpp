@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <numeric>
 #include <vector>
 
@@ -94,7 +96,7 @@ TEST(GemmKernels, BiasFusedOverwriteMatchesSeparatePasses) {
     for (double& v : bias) v = rng.uniform(-1.0, 1.0);
 
     Matrix c_fast = random_matrix(m, n, rng);  // stale contents overwritten
-    gemm_bias(a, b, bias, c_fast);
+    detail::gemm_bias(a, b, bias, c_fast);
 
     Matrix c_ref = Matrix::zeros(m, n);
     detail::gemm_acc_naive(a, b, c_ref);
@@ -103,7 +105,7 @@ TEST(GemmKernels, BiasFusedOverwriteMatchesSeparatePasses) {
 
     // Empty bias = plain overwrite.
     Matrix c0 = random_matrix(m, n, rng);
-    gemm_bias(a, b, {}, c0);
+    detail::gemm_bias(a, b, {}, c0);
     Matrix c0_ref = Matrix::zeros(m, n);
     detail::gemm_acc_naive(a, b, c0_ref);
     expect_close(c0, c0_ref);
@@ -135,7 +137,7 @@ TEST(GemmKernels, RowMappedVariantsMatchMaterializedGatherScatter) {
     const Matrix b = random_matrix(k, n, rng);
     Matrix c_fast = random_matrix(full, n, rng);
     Matrix c_ref = c_fast;
-    gemm_acc_rows(a, b, c_fast, rows);
+    detail::gemm_acc_rows(a, b, c_fast, rows);
     Matrix dense = Matrix::zeros(a_rows, n);
     detail::gemm_acc_naive(a, b, dense);
     for (int i = 0; i < a_rows; ++i)
@@ -201,7 +203,7 @@ TEST(GraphCsr, MatchesEdgeListsAndInDegrees) {
     const auto& csr = g.csr(r);
     const auto deg = g.in_degree(r);
     ASSERT_EQ(csr.row_offset.size(), static_cast<std::size_t>(g.num_nodes) + 1);
-    ASSERT_EQ(csr.inv_deg.size(), static_cast<std::size_t>(g.num_nodes));
+    ASSERT_EQ(csr.inv_deg.size(), csr.active_dst.size());
     EXPECT_EQ(csr.num_edges(),
               static_cast<int>(g.rel_edges[static_cast<std::size_t>(r)].size()));
 
@@ -211,11 +213,10 @@ TEST(GraphCsr, MatchesEdgeListsAndInDegrees) {
       const auto ii = static_cast<std::size_t>(i);
       EXPECT_EQ(csr.row_offset[ii + 1] - csr.row_offset[ii], deg[ii]);
       if (deg[ii] > 0) {
-        EXPECT_DOUBLE_EQ(csr.inv_deg[ii], 1.0 / deg[ii]);
-        EXPECT_EQ(csr.active_dst[static_cast<std::size_t>(active_seen)], i);
+        const auto ai = static_cast<std::size_t>(active_seen);
+        EXPECT_EQ(csr.active_dst[ai], i);
+        EXPECT_DOUBLE_EQ(csr.inv_deg[ai], 1.0 / deg[ii]);
         ++active_seen;
-      } else {
-        EXPECT_DOUBLE_EQ(csr.inv_deg[ii], 0.0);
       }
     }
     EXPECT_EQ(csr.num_active(), active_seen);
@@ -242,6 +243,96 @@ TEST(GraphCsr, LazilyRebuildsAfterEdgeMutation) {
   EXPECT_EQ(g.csr(0).num_edges(), 7);  // stale CSR was rebuilt
   const auto deg = g.in_degree(0);
   EXPECT_EQ(g.csr(0).row_offset[6] - g.csr(0).row_offset[5], deg[5]);
+}
+
+/// Checks every RowPlan invariant of `g` against its edge lists: the order
+/// is a permutation, tiles hold 1..kTileRows nodes of one signature in
+/// signature order (node ids ascending within one), and each M-row map
+/// points at the node's row of that relation's compressed aggregate.
+void expect_row_plan_consistent(const graph::GraphTensors& g) {
+  const graph::RowPlan& p = g.row_plan();
+  const int n = g.num_nodes;
+  std::vector<unsigned> sig(static_cast<std::size_t>(n), 0);
+  for (int r = 0; r < graph::kNumModelRelations; ++r) {
+    const auto deg = g.in_degree(r);
+    for (int i = 0; i < n; ++i)
+      if (deg[static_cast<std::size_t>(i)] > 0)
+        sig[static_cast<std::size_t>(i)] |= 1u << r;
+  }
+
+  std::vector<int> sorted = p.order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> ids(static_cast<std::size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  ASSERT_EQ(sorted, ids) << "order is not a permutation";
+
+  ASSERT_EQ(p.tile_start.size(), static_cast<std::size_t>(p.num_tiles()) + 1);
+  ASSERT_EQ(p.tile_mrow.size(), static_cast<std::size_t>(p.num_tiles()));
+  ASSERT_EQ(p.tile_start.front(), 0);
+  ASSERT_EQ(p.tile_start.back(), n);
+  int mrow_at = 0;
+  for (int t = 0; t < p.num_tiles(); ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    const int first = p.tile_start[ti];
+    const int rows = p.tile_start[ti + 1] - first;
+    ASSERT_GE(rows, 1);
+    ASSERT_LE(rows, graph::RowPlan::kTileRows);
+    if (t > 0) {
+      EXPECT_LE(p.tile_sig[ti - 1], p.tile_sig[ti]);
+    }
+    ASSERT_EQ(p.tile_mrow[ti], mrow_at);
+    for (int i = first; i < first + rows; ++i) {
+      const int node = p.order[static_cast<std::size_t>(i)];
+      EXPECT_EQ(sig[static_cast<std::size_t>(node)], p.tile_sig[ti])
+          << "tile " << t << " mixes signatures";
+      const int prev = i > 0 ? p.order[static_cast<std::size_t>(i - 1)] : -1;
+      if (prev >= 0 && sig[static_cast<std::size_t>(prev)] == p.tile_sig[ti]) {
+        EXPECT_LT(prev, node);
+      }
+    }
+    for (int r = 0; r < graph::kNumModelRelations; ++r) {
+      if (!((p.tile_sig[ti] >> r) & 1u)) continue;
+      const auto& active = g.csr(r).active_dst;
+      for (int i = first; i < first + rows; ++i) {
+        const int m = p.mrow[static_cast<std::size_t>(mrow_at++)];
+        ASSERT_GE(m, 0);
+        ASSERT_LT(m, static_cast<int>(active.size()));
+        EXPECT_EQ(active[static_cast<std::size_t>(m)],
+                  p.order[static_cast<std::size_t>(i)])
+            << "relation " << r << " tile " << t;
+      }
+    }
+  }
+  EXPECT_EQ(mrow_at, static_cast<int>(p.mrow.size()));
+}
+
+TEST(GraphCsr, RowPlanGroupsRowsBySignature) {
+  expect_row_plan_consistent(random_graph(23, 5, 99, 40));
+  expect_row_plan_consistent(random_graph(70, 5, 7, 25));
+  expect_row_plan_consistent(random_graph(130, 5, 8, 400));  // full tiles
+  expect_row_plan_consistent(random_graph(1, 5, 1, 0));
+  expect_row_plan_consistent(random_graph(1, 5, 1, 2));  // self loops
+}
+
+TEST(GraphCsr, RowPlanRebuiltAfterLazyCsrRebuild) {
+  auto g = random_graph(9, 4, 3, 6);
+  expect_row_plan_consistent(g);
+  // A new in-edge changes its target's signature.
+  const auto deg = g.in_degree(0);
+  const int fresh = static_cast<int>(
+      std::find(deg.begin(), deg.end(), 0) - deg.begin());
+  ASSERT_LT(fresh, g.num_nodes);
+  g.rel_edges[0].emplace_back(1, fresh);
+  expect_row_plan_consistent(g);
+  // More nodes: the plan covers them too.
+  g.num_nodes += 3;
+  for (int i = 0; i < 3; ++i) {
+    g.token.push_back(0);
+    g.kind.push_back(0);
+  }
+  g.rel_edges[3].emplace_back(0, g.num_nodes - 1);
+  expect_row_plan_consistent(g);
+  EXPECT_EQ(g.row_plan().order.size(), static_cast<std::size_t>(g.num_nodes));
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +439,133 @@ TEST(RgcnEngine, EncodeIsDeterministic) {
   const auto b = net.encode(g);
   for (std::size_t d = 0; d < a.readout.size(); ++d)
     EXPECT_DOUBLE_EQ(a.readout[d], b.readout[d]);
+}
+
+/// The RGCN forward composed of separate kernels, as the engine ran it
+/// before the fused layer kernel: the bias-fused self GEMM, one row-mapped
+/// accumulate per active relation in ascending order, then an activation
+/// pass. The engine's H, M and readout must equal it bit for bit.
+RgcnNet::GnnCache composed_encode(RgcnNet& net, const graph::GraphTensors& g) {
+  const auto& cfg = net.config();
+  const int n = g.num_nodes;
+  const auto L = static_cast<std::size_t>(cfg.rgcn_layers);
+  RgcnNet::GnnCache c;
+  c.H.resize(L + 1);
+  c.M.resize(L);
+  const Matrix& et = param_by_name(net, "emb.token");
+  const Matrix& ek = param_by_name(net, "emb.kind");
+  c.H[0].resize(n, cfg.emb_dim);
+  for (int i = 0; i < n; ++i)
+    for (int d = 0; d < cfg.emb_dim; ++d)
+      c.H[0](i, d) = et(g.token[static_cast<std::size_t>(i)], d) +
+                     ek(g.kind[static_cast<std::size_t>(i)], d);
+
+  for (std::size_t l = 0; l < L; ++l) {
+    const std::string prefix = "rgcn." + std::to_string(l) + ".";
+    const Matrix& h = c.H[l];
+    Matrix z(n, cfg.hidden);
+    detail::gemm_bias(h, param_by_name(net, prefix + "w0"),
+                      param_by_name(net, prefix + "bias").flat(), z);
+    for (int r = 0; r < cfg.num_relations; ++r) {
+      const graph::RelationCsr& csr = g.csr(r);
+      Matrix mc(csr.num_active(), h.cols());
+      for (int idx = 0; idx < csr.num_active(); ++idx) {
+        const auto dst = static_cast<std::size_t>(
+            csr.active_dst[static_cast<std::size_t>(idx)]);
+        const double inv = csr.inv_deg[static_cast<std::size_t>(idx)];
+        const int b0 = csr.row_offset[dst], b1 = csr.row_offset[dst + 1];
+        for (int d = 0; d < h.cols(); ++d)
+          mc(idx, d) = inv * h(csr.src[static_cast<std::size_t>(b0)], d);
+        for (int e = b0 + 1; e < b1; ++e)
+          for (int d = 0; d < h.cols(); ++d)
+            mc(idx, d) += inv * h(csr.src[static_cast<std::size_t>(e)], d);
+      }
+      Matrix wr;
+      if (cfg.num_bases == 0) {
+        wr = param_by_name(net, prefix + "wr." + std::to_string(r));
+      } else {
+        const Matrix& coef = param_by_name(net, prefix + "coef");
+        wr = Matrix::zeros(h.cols(), cfg.hidden);
+        for (int b = 0; b < cfg.num_bases; ++b)
+          wr.add_scaled(param_by_name(net, prefix + "basis." + std::to_string(b)),
+                        coef(r, b));
+      }
+      if (csr.num_active() > 0)
+        detail::gemm_acc_rows(mc, wr, z, csr.active_dst);
+      c.M[l].push_back(std::move(mc));
+    }
+    for (double& v : z.flat()) v = v > 0.0 ? v : cfg.leaky_slope * v;
+    c.H[l + 1] = std::move(z);
+  }
+
+  c.readout.assign(static_cast<std::size_t>(cfg.hidden), 0.0);
+  for (int i = 0; i < n; ++i)
+    for (int d = 0; d < cfg.hidden; ++d)
+      c.readout[static_cast<std::size_t>(d)] += c.H[L](i, d);
+  for (double& v : c.readout) v /= static_cast<double>(n);
+  return c;
+}
+
+void expect_bit_equal(const Matrix& a, const Matrix& b, const std::string& what) {
+  ASSERT_TRUE(a.same_shape(b)) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
+}
+
+TEST(RgcnEngine, GroupedLayerKernelBitIdenticalToComposedKernels) {
+  std::vector<graph::GraphTensors> graphs;
+  graphs.push_back(random_graph(40, 6, 21, 30));
+  graphs.push_back(random_graph(130, 6, 22, 400));  // full same-signature tiles
+  graphs.push_back(random_graph(1, 6, 23, 0));      // one node, no edges
+  graphs.push_back(random_graph(1, 6, 24, 1));      // one node, self loops
+  {
+    // Nodes with no in-edges at all: sources only.
+    auto g = random_graph(30, 6, 25, 20);
+    for (int i = 0; i < 4; ++i) {
+      g.token.push_back(i);
+      g.kind.push_back(i % 3);
+      g.rel_edges[static_cast<std::size_t>(i)].emplace_back(g.num_nodes + i, 0);
+    }
+    g.num_nodes += 4;
+    graphs.push_back(std::move(g));
+  }
+  {
+    // One relation active on every node.
+    auto g = random_graph(45, 6, 26, 15);
+    for (int i = 0; i < g.num_nodes; ++i)
+      g.rel_edges[2].emplace_back((i + 7) % g.num_nodes, i);
+    graphs.push_back(std::move(g));
+  }
+
+  for (int hidden : {9, 16, 20, 33}) {
+    for (int num_bases : {0, 2}) {
+      auto cfg = small_config(6);
+      cfg.hidden = hidden;
+      cfg.emb_dim = hidden == 16 ? 12 : 6;
+      cfg.rgcn_layers = 4;
+      cfg.num_bases = num_bases;
+      cfg.seed = static_cast<std::uint64_t>(hidden * 10 + num_bases);
+      RgcnNet net(cfg);
+      RgcnNet::GnnCache reused;
+      for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+        const std::string what = "hidden " + std::to_string(hidden) +
+                                 " bases " + std::to_string(num_bases) +
+                                 " graph " + std::to_string(gi);
+        const auto ref = composed_encode(net, graphs[gi]);
+        net.encode_into(graphs[gi], reused);
+        ASSERT_EQ(reused.H.size(), ref.H.size());
+        for (std::size_t l = 0; l < ref.H.size(); ++l)
+          expect_bit_equal(reused.H[l], ref.H[l], what + " H" + std::to_string(l));
+        ASSERT_EQ(reused.M.size(), ref.M.size());
+        for (std::size_t l = 0; l < ref.M.size(); ++l)
+          for (std::size_t r = 0; r < ref.M[l].size(); ++r)
+            expect_bit_equal(reused.M[l][r], ref.M[l][r],
+                             what + " M" + std::to_string(l) + "." +
+                                 std::to_string(r));
+        ASSERT_EQ(reused.readout, ref.readout) << what;
+      }
+    }
+  }
 }
 
 /// The trainer's batch backward in miniature: phase A for every sample
