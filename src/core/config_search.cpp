@@ -1,6 +1,7 @@
 #include "core/config_search.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,33 +11,6 @@
 namespace pnp::core {
 
 namespace {
-
-/// A partially expanded class tuple. Unexpanded dimensions are -1.
-struct Partial {
-  double score = 0.0;
-  int cap = -1;
-  int thr = -1;
-  int sch = -1;
-  int chk = -1;
-};
-
-/// The deterministic ordering: score descending, then lexicographic
-/// ascending class tuple — identical to `nn::argmax_index`'s first-max-wins
-/// protocol, so an unconstrained full-width beam reproduces the historic
-/// independent-argmax decode exactly.
-bool better(const Partial& a, const Partial& b) {
-  if (a.score != b.score) return a.score > b.score;
-  if (a.cap != b.cap) return a.cap < b.cap;
-  if (a.thr != b.thr) return a.thr < b.thr;
-  if (a.sch != b.sch) return a.sch < b.sch;
-  return a.chk < b.chk;
-}
-
-void trim(std::vector<Partial>& beam, int width) {
-  std::sort(beam.begin(), beam.end(), better);
-  if (width > 0 && beam.size() > static_cast<std::size_t>(width))
-    beam.resize(static_cast<std::size_t>(width));
-}
 
 /// Class tuple of the machine default configuration — the guaranteed
 /// fallback (always constraint-valid, always representable as a label).
@@ -62,90 +36,117 @@ SearchChoice default_choice(const SearchSpace& space, int cap_cls,
   return c;
 }
 
-/// Shared beam core. For power mode `cap_logits` is empty and the single
-/// seed partial carries `fixed_cap_w` (cap_cls stays -1 in the result).
+/// What every decoder serves when the constraint layer prunes every tuple:
+/// the machine default (always valid) — in EDP mode at the cap whose
+/// default tuple scores best. Power mode passes empty `cap_logits`.
 template <typename T>
-SearchChoice beam_run(const SearchSpace& space, bool edp, double fixed_cap_w,
-                      std::span<const T> cap_logits,
-                      std::span<const T> thread_logits,
-                      std::span<const T> sched_logits,
-                      std::span<const T> chunk_logits, int beam_width) {
-  std::vector<Partial> beam;
-  if (edp) {
-    for (std::size_t i = 0; i < cap_logits.size(); ++i)
-      beam.push_back({static_cast<double>(cap_logits[i]),
-                      static_cast<int>(i), -1, -1, -1});
-    trim(beam, beam_width);
-  } else {
-    beam.push_back({0.0, -1, -1, -1, -1});
-  }
-
-  const std::vector<int>& threads = space.thread_values();
-  const int def_threads = space.default_config().threads;
-  std::vector<Partial> next;
-  // Thread stage: thread-only rules are checkable here, so prune early.
-  // The class holding the default thread count survives regardless (the
-  // default config is exempt); its invalid siblings die at the chunk stage.
-  for (const Partial& p : beam) {
-    const double cap_w =
-        edp ? space.power_caps()[static_cast<std::size_t>(p.cap)] : fixed_cap_w;
-    const int tmax = space.max_valid_threads(cap_w);
-    for (std::size_t i = 0; i < thread_logits.size(); ++i) {
-      const int t = threads[i];
-      if (t > tmax && t != def_threads) continue;
-      next.push_back({p.score + static_cast<double>(thread_logits[i]), p.cap,
-                      static_cast<int>(i), -1, -1});
-    }
-  }
-  beam.swap(next);
-  trim(beam, beam_width);
-
-  next.clear();
-  for (const Partial& p : beam)
-    for (std::size_t i = 0; i < sched_logits.size(); ++i)
-      next.push_back({p.score + static_cast<double>(sched_logits[i]), p.cap,
-                      p.thr, static_cast<int>(i), -1});
-  beam.swap(next);
-  trim(beam, beam_width);
-
-  // Chunk stage completes the tuple: this is where the constraint layer
-  // filters (schedule- and product-rules need the full config).
-  next.clear();
-  for (const Partial& p : beam) {
-    const double cap_w =
-        edp ? space.power_caps()[static_cast<std::size_t>(p.cap)] : fixed_cap_w;
-    for (std::size_t i = 0; i < chunk_logits.size(); ++i) {
-      const sim::OmpConfig cfg = space.config_from_classes(
-          p.thr, p.sch, static_cast<int>(i));
-      if (!space.is_valid(cfg, cap_w)) continue;
-      next.push_back({p.score + static_cast<double>(chunk_logits[i]), p.cap,
-                      p.thr, p.sch, static_cast<int>(i)});
-    }
-  }
-
-  if (next.empty()) {
-    // Pruning emptied the beam: serve the machine default (always valid).
-    if (edp) {
-      SearchChoice best{};
-      bool first = true;
-      for (std::size_t i = 0; i < cap_logits.size(); ++i) {
-        SearchChoice c = default_choice(space, static_cast<int>(i),
-                                        static_cast<double>(cap_logits[i]),
-                                        thread_logits, sched_logits,
-                                        chunk_logits);
-        if (first || c.score > best.score) best = c;
-        first = false;
-      }
-      return best;
-    }
+SearchChoice pruned_fallback(const SearchSpace& space,
+                             std::span<const T> cap_logits,
+                             std::span<const T> thread_logits,
+                             std::span<const T> sched_logits,
+                             std::span<const T> chunk_logits) {
+  if (cap_logits.empty())
     return default_choice(space, -1, 0.0, thread_logits, sched_logits,
                           chunk_logits);
+  SearchChoice best{};
+  for (std::size_t c = 0; c < cap_logits.size(); ++c) {
+    const SearchChoice cand = default_choice(
+        space, static_cast<int>(c), static_cast<double>(cap_logits[c]),
+        thread_logits, sched_logits, chunk_logits);
+    if (c == 0 || cand.score > best.score) best = cand;
   }
+  return best;
+}
 
-  const Partial& best = *std::min_element(
-      next.begin(), next.end(),
-      [](const Partial& a, const Partial& b) { return better(a, b); });
-  return {best.cap, best.thr, best.sch, best.chk, best.score, false};
+/// True when no logit is NaN or infinite — the precondition of the
+/// argmax fast paths: a NaN sum never compares greater and infinite sums
+/// tie, so with such logits the argmax tuple need not be the answer.
+template <typename T>
+bool all_finite(std::span<const T> xs) {
+  for (const T x : xs)
+    if (!std::isfinite(x)) return false;
+  return true;
+}
+
+/// Largest logit of a head, NaN entries skipped: a NaN logit makes every
+/// sum through it NaN, which never wins a strictly-greater update, so it
+/// needs no bound.
+template <typename T>
+double head_max(std::span<const T> xs) {
+  double m = -std::numeric_limits<double>::infinity();
+  for (const T x : xs)
+    if (static_cast<double>(x) > m) m = static_cast<double>(x);
+  return m;
+}
+
+/// One cap's share of the exact scan: `exhaustive_*`'s lexicographic
+/// thread → schedule → chunk loop and strictly-greater update, minus the
+/// work that cannot change its answer.
+///  - Thread classes above `max_valid_threads(cap_w)` hold no valid tuple
+///    except the default's, so only the default thread count's class is
+///    entered among them.
+///  - Once a tuple is found, a subtree whose score bound is <= the best
+///    score cannot beat it: rounded addition is monotone, so
+///    st + s + k <= (st + max_s) + max_k exactly. A NaN bound compares
+///    false and never prunes.
+template <typename T>
+void scan_cap(const SearchSpace& space, int cap_cls, double cap_w,
+              double base, std::span<const T> thread_logits,
+              std::span<const T> sched_logits,
+              std::span<const T> chunk_logits, double max_s, double max_k,
+              SearchChoice& best, bool& found) {
+  const std::vector<int>& threads = space.thread_values();
+  const int def_threads = space.default_config().threads;
+  const int tmax = space.max_valid_threads(cap_w);
+  for (std::size_t t = 0; t < thread_logits.size(); ++t) {
+    if (threads[t] > tmax && threads[t] != def_threads) continue;
+    const double st = base + static_cast<double>(thread_logits[t]);
+    if (found && (st + max_s) + max_k <= best.score) continue;
+    for (std::size_t s = 0; s < sched_logits.size(); ++s) {
+      const double ss = st + static_cast<double>(sched_logits[s]);
+      if (found && ss + max_k <= best.score) continue;
+      for (std::size_t k = 0; k < chunk_logits.size(); ++k) {
+        // The score test first: a tuple that cannot win needs no
+        // validity check.
+        const double sk = ss + static_cast<double>(chunk_logits[k]);
+        if (found && !(sk > best.score)) continue;
+        const sim::OmpConfig cfg = space.config_from_classes(
+            static_cast<int>(t), static_cast<int>(s), static_cast<int>(k));
+        if (!space.is_valid(cfg, cap_w)) continue;
+        best = {cap_cls, static_cast<int>(t), static_cast<int>(s),
+                static_cast<int>(k), sk, false};
+        found = true;
+      }
+    }
+  }
+}
+
+/// The constrained decode: the exhaustive argmax, bit for bit, computed
+/// by a bounded scan with no allocation. Power mode passes empty
+/// `cap_logits` and the query's `fixed_cap_w`.
+template <typename T>
+SearchChoice exact_scan(const SearchSpace& space, double fixed_cap_w,
+                        std::span<const T> cap_logits,
+                        std::span<const T> thread_logits,
+                        std::span<const T> sched_logits,
+                        std::span<const T> chunk_logits) {
+  const double max_s = head_max(sched_logits);
+  const double max_k = head_max(chunk_logits);
+  SearchChoice best{};
+  bool found = false;
+  if (cap_logits.empty()) {
+    scan_cap(space, -1, fixed_cap_w, 0.0, thread_logits, sched_logits,
+             chunk_logits, max_s, max_k, best, found);
+  } else {
+    for (std::size_t c = 0; c < cap_logits.size(); ++c)
+      scan_cap(space, static_cast<int>(c), space.power_caps()[c],
+               static_cast<double>(cap_logits[c]), thread_logits,
+               sched_logits, chunk_logits, max_s, max_k, best, found);
+  }
+  if (!found)
+    return pruned_fallback(space, cap_logits, thread_logits, sched_logits,
+                           chunk_logits);
+  return best;
 }
 
 }  // namespace
@@ -154,7 +155,7 @@ template <typename T>
 SearchChoice search_power(const SearchSpace& space, double cap_w,
                           std::span<const T> thread_logits,
                           std::span<const T> sched_logits,
-                          std::span<const T> chunk_logits, int beam_width) {
+                          std::span<const T> chunk_logits) {
   PNP_CHECK(static_cast<int>(thread_logits.size()) == space.num_thread_classes());
   PNP_CHECK(static_cast<int>(sched_logits.size()) == space.num_schedule_classes());
   PNP_CHECK(static_cast<int>(chunk_logits.size()) == space.num_chunk_classes());
@@ -163,21 +164,23 @@ SearchChoice search_power(const SearchSpace& space, double cap_w,
   const int ti = nn::argmax_index(thread_logits);
   const int si = nn::argmax_index(sched_logits);
   const int ki = nn::argmax_index(chunk_logits);
-  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w)) {
-    double score = static_cast<double>(thread_logits[static_cast<std::size_t>(ti)]);
+  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w) &&
+      all_finite(thread_logits) && all_finite(sched_logits) &&
+      all_finite(chunk_logits)) {
+    double score = 0.0 + static_cast<double>(thread_logits[static_cast<std::size_t>(ti)]);
     score += static_cast<double>(sched_logits[static_cast<std::size_t>(si)]);
     score += static_cast<double>(chunk_logits[static_cast<std::size_t>(ki)]);
     return {-1, ti, si, ki, score, false};
   }
-  return beam_run<T>(space, /*edp=*/false, cap_w, {}, thread_logits,
-                     sched_logits, chunk_logits, beam_width);
+  return exact_scan<T>(space, cap_w, {}, thread_logits, sched_logits,
+                       chunk_logits);
 }
 
 template <typename T>
 SearchChoice search_edp(const SearchSpace& space, std::span<const T> cap_logits,
                         std::span<const T> thread_logits,
                         std::span<const T> sched_logits,
-                        std::span<const T> chunk_logits, int beam_width) {
+                        std::span<const T> chunk_logits) {
   PNP_CHECK(static_cast<int>(cap_logits.size()) == space.num_cap_classes());
   PNP_CHECK(static_cast<int>(thread_logits.size()) == space.num_thread_classes());
   PNP_CHECK(static_cast<int>(sched_logits.size()) == space.num_schedule_classes());
@@ -187,15 +190,17 @@ SearchChoice search_edp(const SearchSpace& space, std::span<const T> cap_logits,
   const int si = nn::argmax_index(sched_logits);
   const int ki = nn::argmax_index(chunk_logits);
   const double cap_w = space.power_caps()[static_cast<std::size_t>(ci)];
-  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w)) {
+  if (space.is_valid(space.config_from_classes(ti, si, ki), cap_w) &&
+      all_finite(cap_logits) && all_finite(thread_logits) &&
+      all_finite(sched_logits) && all_finite(chunk_logits)) {
     double score = static_cast<double>(cap_logits[static_cast<std::size_t>(ci)]);
     score += static_cast<double>(thread_logits[static_cast<std::size_t>(ti)]);
     score += static_cast<double>(sched_logits[static_cast<std::size_t>(si)]);
     score += static_cast<double>(chunk_logits[static_cast<std::size_t>(ki)]);
     return {ci, ti, si, ki, score, false};
   }
-  return beam_run<T>(space, /*edp=*/true, 0.0, cap_logits, thread_logits,
-                     sched_logits, chunk_logits, beam_width);
+  return exact_scan(space, 0.0, cap_logits, thread_logits, sched_logits,
+                    chunk_logits);
 }
 
 template <typename T>
@@ -226,8 +231,8 @@ SearchChoice exhaustive_power(const SearchSpace& space, double cap_w,
     }
   }
   if (!found)
-    return default_choice(space, -1, 0.0, thread_logits, sched_logits,
-                          chunk_logits);
+    return pruned_fallback<T>(space, {}, thread_logits, sched_logits,
+                              chunk_logits);
   return best;
 }
 
@@ -261,25 +266,26 @@ SearchChoice exhaustive_edp(const SearchSpace& space,
       }
     }
   }
-  if (!found) {
-    SearchChoice fb{};
-    bool first = true;
-    for (std::size_t c = 0; c < cap_logits.size(); ++c) {
-      SearchChoice cand = default_choice(space, static_cast<int>(c),
-                                         static_cast<double>(cap_logits[c]),
-                                         thread_logits, sched_logits,
-                                         chunk_logits);
-      if (first || cand.score > fb.score) fb = cand;
-      first = false;
-    }
-    return fb;
-  }
+  if (!found)
+    return pruned_fallback(space, cap_logits, thread_logits, sched_logits,
+                           chunk_logits);
   return best;
 }
 
 template <typename T>
 int dense_argmax_valid(const SearchSpace& space, std::span<const T> logits,
                        bool edp_scenario, double cap_w) {
+  // Fast path, as in search_*: with finite logits the first maximum is
+  // the scan's answer whenever the constraint layer admits it.
+  const int top = nn::argmax_index(logits);
+  const TunerClasses tc = tuner_classes_from_flat(space, top, edp_scenario);
+  const double top_w =
+      edp_scenario ? space.power_caps()[static_cast<std::size_t>(tc.cap)]
+                   : cap_w;
+  if (space.is_valid(space.config_from_classes(tc.thread, tc.sched, tc.chunk),
+                     top_w) &&
+      all_finite(logits))
+    return top;
   int best = -1;
   double best_score = 0.0;
   for (int flat = 0; flat < static_cast<int>(logits.size()); ++flat) {
@@ -304,21 +310,21 @@ int dense_argmax_valid(const SearchSpace& space, std::span<const T> logits,
 template SearchChoice search_power<double>(const SearchSpace&, double,
                                            std::span<const double>,
                                            std::span<const double>,
-                                           std::span<const double>, int);
+                                           std::span<const double>);
 template SearchChoice search_power<float>(const SearchSpace&, double,
                                           std::span<const float>,
                                           std::span<const float>,
-                                          std::span<const float>, int);
+                                          std::span<const float>);
 template SearchChoice search_edp<double>(const SearchSpace&,
                                          std::span<const double>,
                                          std::span<const double>,
                                          std::span<const double>,
-                                         std::span<const double>, int);
+                                         std::span<const double>);
 template SearchChoice search_edp<float>(const SearchSpace&,
                                         std::span<const float>,
                                         std::span<const float>,
                                         std::span<const float>,
-                                        std::span<const float>, int);
+                                        std::span<const float>);
 template SearchChoice exhaustive_power<double>(const SearchSpace&, double,
                                                std::span<const double>,
                                                std::span<const double>,

@@ -9,25 +9,30 @@
 /// decode is a two-step protocol:
 ///
 ///   1. Fast path: take the per-head argmax tuple (exactly the historic
-///      independent-argmax decode). If the constraint layer admits it, it
-///      IS the joint argmax — done. On constraint-free spaces (the paper's
-///      Table I grids) this is bit-identical to the pre-refactor behavior
-///      and costs nothing extra.
-///   2. Beam search fallback: only when the argmax tuple is pruned. The
-///      beam expands dimensions in the fixed order cap → thread →
-///      schedule → chunk, keeps the `beam_width` best partial sums at
-///      each stage (width <= 0 keeps everything), prunes thread classes
-///      a thread-only rule forbids at the query's cap, filters complete
-///      tuples through `SearchSpace::is_valid`, and falls back to the
-///      machine default configuration if pruning empties the beam (the
-///      default is always valid, so serving can never fail to answer).
+///      independent-argmax decode). If every logit is finite and the
+///      constraint layer admits it, it IS the joint argmax — done. On
+///      constraint-free spaces (the paper's Table I grids) this is
+///      bit-identical to the pre-refactor behavior and costs nothing
+///      extra. A NaN or infinite logit breaks the argmax-sum argument
+///      (NaN sums never compare greater; infinite sums tie), so such
+///      logits always take step 2.
+///   2. Constrained search: an exact bounded scan. It walks cap → thread
+///      → schedule → chunk in lexicographic order with the exhaustive
+///      oracle's strictly-greater update, skips thread classes a
+///      thread-only rule forbids at the cap (the default thread count's
+///      class excepted), and skips any thread or schedule subtree whose
+///      best possible sum cannot beat the best tuple found so far.
+///      Rounded addition is monotone, so the bound is exact and the
+///      answer equals `exhaustive_*` bit for bit; it allocates nothing.
+///      If the constraint layer prunes every tuple it falls back to the
+///      machine default configuration (the default is always valid, so
+///      serving can never fail to answer).
 ///
 /// Ties break deterministically: higher score first, then lexicographic
 /// ascending (cap, thread, schedule, chunk) class order — the same "first
 /// maximum wins" protocol as `nn::argmax_index`. `exhaustive_*` scan the
 /// entire class grid with the same scoring and tie-break and are the test
-/// oracle: beam search with width >= the space size must match them
-/// bit-for-bit.
+/// oracle: `search_*` must match them bit-for-bit.
 
 #include <span>
 
@@ -53,7 +58,7 @@ template <typename T>
 SearchChoice search_power(const SearchSpace& space, double cap_w,
                           std::span<const T> thread_logits,
                           std::span<const T> sched_logits,
-                          std::span<const T> chunk_logits, int beam_width);
+                          std::span<const T> chunk_logits);
 
 /// EDP mode: the cap head is searched jointly with the config heads.
 template <typename T>
@@ -61,7 +66,7 @@ SearchChoice search_edp(const SearchSpace& space,
                         std::span<const T> cap_logits,
                         std::span<const T> thread_logits,
                         std::span<const T> sched_logits,
-                        std::span<const T> chunk_logits, int beam_width);
+                        std::span<const T> chunk_logits);
 
 /// Exhaustive oracles: scan every class tuple in lexicographic order,
 /// keep the best constraint-valid one (strictly-greater update == the
@@ -83,9 +88,10 @@ SearchChoice exhaustive_edp(const SearchSpace& space,
 /// flat class grid. Strictly-greater updates in index order — the same
 /// first-max-wins tie-break as `nn::argmax_index`, so on an unconstrained
 /// space this equals argmax_index(logits) exactly. For EDP layouts the
-/// flat index is cap-majored and `cap_w` is ignored. Returns -1 when the
-/// constraint layer prunes every class (callers fall back to the default
-/// config).
+/// flat index is cap-majored and `cap_w` is ignored. Like `search_*`, it
+/// answers from the plain argmax when every logit is finite and the
+/// constraint layer admits it. Returns -1 when the constraint layer
+/// prunes every class (callers fall back to the default config).
 template <typename T>
 int dense_argmax_valid(const SearchSpace& space, std::span<const T> logits,
                        bool edp_scenario, double cap_w);

@@ -21,6 +21,22 @@ std::array<double, kNumCounters> counter_values(const hw::Counters& c) {
           c.branch_mispredictions};
 }
 
+/// Head logits of one uncached prediction. The encode and dense
+/// workspaces are per-thread and reused, so a thread's predictions stop
+/// allocating once its buffers fit the largest graph, and concurrent
+/// const calls on any tuner never share one. The span stays valid until
+/// the calling thread's next prediction.
+std::span<const double> predict_logits(const nn::RgcnNet& net,
+                                       const graph::GraphTensors& g,
+                                       std::span<const double> extra) {
+  thread_local nn::RgcnNet::GnnCache gnn;
+  thread_local nn::RgcnNet::DenseCache dense;
+  net.encode_into(g, gnn);
+  gnn.g = nullptr;
+  net.dense_forward_into(gnn.readout, extra, dense);
+  return dense.logits;
+}
+
 }  // namespace
 
 PnpTuner::PnpTuner(const MeasurementDb& db, PnpOptions options)
@@ -139,23 +155,9 @@ std::vector<int> PnpTuner::edp_labels(int region) const {
                       opt_.factored_heads, /*edp_scenario=*/true);
 }
 
-sim::OmpConfig PnpTuner::decode_config(std::span<const int> preds,
-                                       int base) const {
-  const SearchSpace& s = db_.space();
-  if (opt_.factored_heads) {
-    return s.config_from_classes(preds[static_cast<std::size_t>(base)],
-                                 preds[static_cast<std::size_t>(base) + 1],
-                                 preds[static_cast<std::size_t>(base) + 2]);
-  }
-  const TunerClasses c =
-      tuner_classes_from_flat(s, preds[0], mode_ == Mode::Edp);
-  return s.config_from_classes(c.thread, c.sched, c.chunk);
-}
-
 template <typename T>
 sim::OmpConfig PnpTuner::decode_power_logits(std::span<const T> logits,
-                                             double cap_w,
-                                             int beam_width) const {
+                                             double cap_w) const {
   const SearchSpace& s = db_.space();
   if (opt_.factored_heads) {
     const int nt = s.num_thread_classes(), ns = s.num_schedule_classes();
@@ -165,8 +167,7 @@ sim::OmpConfig PnpTuner::decode_power_logits(std::span<const T> logits,
         logits.subspan(static_cast<std::size_t>(nt),
                        static_cast<std::size_t>(ns)),
         logits.subspan(static_cast<std::size_t>(nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width);
+                       static_cast<std::size_t>(nc)));
     return s.config_from_classes(choice.thread_cls, choice.sched_cls,
                                  choice.chunk_cls);
   }
@@ -177,8 +178,8 @@ sim::OmpConfig PnpTuner::decode_power_logits(std::span<const T> logits,
 }
 
 template <typename T>
-PnpTuner::JointChoice PnpTuner::decode_edp_logits(std::span<const T> logits,
-                                                  int beam_width) const {
+PnpTuner::JointChoice PnpTuner::decode_edp_logits(
+    std::span<const T> logits) const {
   const SearchSpace& s = db_.space();
   JointChoice jc;
   if (opt_.factored_heads) {
@@ -191,8 +192,7 @@ PnpTuner::JointChoice PnpTuner::decode_edp_logits(std::span<const T> logits,
         logits.subspan(static_cast<std::size_t>(np + nt),
                        static_cast<std::size_t>(ns)),
         logits.subspan(static_cast<std::size_t>(np + nt + ns),
-                       static_cast<std::size_t>(nc)),
-        beam_width);
+                       static_cast<std::size_t>(nc)));
     jc.cap_index = choice.cap_cls;
     jc.cfg = s.config_from_classes(choice.thread_cls, choice.sched_cls,
                                    choice.chunk_cls);
@@ -214,13 +214,13 @@ PnpTuner::JointChoice PnpTuner::decode_edp_logits(std::span<const T> logits,
 }
 
 template sim::OmpConfig PnpTuner::decode_power_logits<double>(
-    std::span<const double>, double, int) const;
+    std::span<const double>, double) const;
 template sim::OmpConfig PnpTuner::decode_power_logits<float>(
-    std::span<const float>, double, int) const;
+    std::span<const float>, double) const;
 template PnpTuner::JointChoice PnpTuner::decode_edp_logits<double>(
-    std::span<const double>, int) const;
+    std::span<const double>) const;
 template PnpTuner::JointChoice PnpTuner::decode_edp_logits<float>(
-    std::span<const float>, int) const;
+    std::span<const float>) const;
 
 std::vector<int> PnpTuner::head_layout(Mode mode) const {
   return tuner_head_layout(db_.space(), opt_.factored_heads,
@@ -496,12 +496,9 @@ sim::OmpConfig PnpTuner::predict_power(int region, int cap_index) const {
   check_region(region);
   check_cap(cap_index);
   const auto extra = make_extra(region, cap_index, std::nullopt);
-  const auto dc =
-      net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
   return decode_power_logits<double>(
-      dc.logits,
-      db_.space().power_caps()[static_cast<std::size_t>(cap_index)],
-      /*beam_width=*/0);
+      predict_logits(*net_, tensors_[static_cast<std::size_t>(region)], extra),
+      db_.space().power_caps()[static_cast<std::size_t>(cap_index)]);
 }
 
 sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
@@ -511,9 +508,9 @@ sim::OmpConfig PnpTuner::predict_power_at(int region, double cap_w) const {
                 "predicting at an arbitrary cap requires the scalar feature");
   check_region(region);
   const auto extra = make_extra(region, std::nullopt, cap_w);
-  const auto dc =
-      net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_power_logits<double>(dc.logits, cap_w, /*beam_width=*/0);
+  return decode_power_logits<double>(
+      predict_logits(*net_, tensors_[static_cast<std::size_t>(region)], extra),
+      cap_w);
 }
 
 PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
@@ -521,9 +518,8 @@ PnpTuner::JointChoice PnpTuner::predict_edp(int region) const {
                 "train_edp_scenario must run first");
   check_region(region);
   const auto extra = make_extra(region, std::nullopt, std::nullopt);
-  const auto dc =
-      net_->forward(tensors_[static_cast<std::size_t>(region)], extra);
-  return decode_edp_logits<double>(dc.logits, /*beam_width=*/0);
+  return decode_edp_logits<double>(
+      predict_logits(*net_, tensors_[static_cast<std::size_t>(region)], extra));
 }
 
 TunerArtifact PnpTuner::to_artifact() const {

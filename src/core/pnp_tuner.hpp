@@ -211,21 +211,20 @@ class PnpTuner {
                                   std::span<const double> mfeats, int region,
                                   int cap) const;
   std::vector<int> edp_labels(int region) const;
-  sim::OmpConfig decode_config(std::span<const int> preds, int base) const;
   /// Constraint-aware decode straight from the classifier logits: factored
-  /// heads go through core::search_* (per-head-argmax fast path, beam on
-  /// constraint violation), the dense head through a validity-filtered
-  /// argmax scan. `beam_width` <= 0 = full width (exact); serving layers
-  /// pass their configured width. On constraint-free spaces both decodes
-  /// are bit-identical to the historic independent/flat argmax.
+  /// heads go through core::search_* (per-head-argmax fast path, exact
+  /// scan on constraint violation), the dense head through
+  /// core::dense_argmax_valid. The tuner's predictions and the serving
+  /// layer both decode here, so they cannot drift. On constraint-free
+  /// spaces both decodes are bit-identical to the historic
+  /// independent/flat argmax.
   /// Templated on the logits type so the f32 serving tier decodes with
   /// the same code (instantiated for double and float).
   template <typename T>
-  sim::OmpConfig decode_power_logits(std::span<const T> logits, double cap_w,
-                                     int beam_width) const;
+  sim::OmpConfig decode_power_logits(std::span<const T> logits,
+                                     double cap_w) const;
   template <typename T>
-  JointChoice decode_edp_logits(std::span<const T> logits,
-                                int beam_width) const;
+  JointChoice decode_edp_logits(std::span<const T> logits) const;
   void build_model(Mode mode, const std::vector<int>& train_regions);
   nn::TrainReport run_training(const std::vector<nn::TrainSample>& samples);
 

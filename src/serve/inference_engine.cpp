@@ -4,8 +4,6 @@
 #include <type_traits>
 
 #include "common/error.hpp"
-#include "core/tuner_artifact.hpp"
-#include "nn/loss.hpp"
 
 namespace pnp::serve {
 
@@ -30,11 +28,11 @@ template <typename T>
 struct Slots;
 template <>
 struct Slots<double> {
-  enum : std::size_t { extra, u0, z1, a1, z2, a2, logits, preds };
+  enum : std::size_t { extra, u0, z1, a1, z2, a2, logits };
 };
 template <>
 struct Slots<float> {
-  enum : std::size_t { extra, u0, h1, h2, logits, preds };
+  enum : std::size_t { extra, u0, h1, h2, logits };
 };
 
 template <typename T>
@@ -54,10 +52,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }  // namespace
 
 ModelState::ModelState(core::PnpTuner tuner,
-                       std::optional<nn::Precision> precision, int beam_width)
+                       std::optional<nn::Precision> precision)
     : tuner_(std::move(tuner)),
-      precision_(precision.value_or(tuner_.serve_precision())),
-      beam_width_(beam_width) {
+      precision_(precision.value_or(tuner_.serve_precision())) {
   PNP_CHECK_MSG(
       tuner_.net_ != nullptr && tuner_.mode_ != core::PnpTuner::Mode::None,
       "serving needs a trained or loaded tuner");
@@ -67,7 +64,6 @@ ModelState::ModelState(core::PnpTuner tuner,
 
 void ModelState::Workspace::bind(const ModelState& m) {
   const nn::RgcnNetConfig& cfg = m.tuner_.net_->config();
-  const int heads = static_cast<int>(cfg.head_sizes.size());
   std::uint64_t key = 0x8000000000000001ull;  // never 0 (= unbound)
   key = mix(key, static_cast<std::uint64_t>(m.precision_));
   key = mix(key, static_cast<std::uint64_t>(cfg.extra_features));
@@ -75,12 +71,11 @@ void ModelState::Workspace::bind(const ModelState& m) {
   key = mix(key, static_cast<std::uint64_t>(cfg.dense_hidden1));
   key = mix(key, static_cast<std::uint64_t>(cfg.dense_hidden2));
   key = mix(key, static_cast<std::uint64_t>(cfg.total_logits()));
-  key = mix(key, static_cast<std::uint64_t>(heads));
   if (key == key_) return;
 
   // Lifetimes by execution step of run_heads: fill_extra_into writes
   // `extra` (0), u0 = readout ⊕ extra (1), each linear/activation is one
-  // step, argmax reads logits and writes preds last. Buffers whose
+  // step, and decode reads the logits last. Buffers whose
   // intervals never meet (e.g. extra and z1) share bytes.
   const auto d = [](int n) { return static_cast<std::size_t>(n) * sizeof(double); };
   const auto f = [](int n) { return static_cast<std::size_t>(n) * sizeof(float); };
@@ -94,7 +89,6 @@ void ModelState::Workspace::bind(const ModelState& m) {
         {"z2", d(cfg.dense_hidden2), 4, 5},
         {"a2", d(cfg.dense_hidden2), 5, 6},
         {"logits", d(cfg.total_logits()), 6, 7},
-        {"preds", static_cast<std::size_t>(heads) * sizeof(int), 7, 8},
     };
   } else {
     specs = {
@@ -103,7 +97,6 @@ void ModelState::Workspace::bind(const ModelState& m) {
         {"h1f", f(cfg.dense_hidden1), 2, 3},
         {"h2f", f(cfg.dense_hidden2), 3, 4},
         {"logitsf", f(cfg.total_logits()), 4, 5},
-        {"preds", static_cast<std::size_t>(heads) * sizeof(int), 5, 6},
     };
   }
   arena_.reset(nn::ArenaPlan::build(std::move(specs)));
@@ -184,12 +177,6 @@ void ModelState::run_heads_t(ReadoutView enc, int region,
     nn::RgcnNet::dense_forward_f32(dense_f32_, u0, view<float>(a, S::h1),
                                    view<float>(a, S::h2), logits);
   }
-  const std::vector<int>& sizes = net.config().head_sizes;
-  int* preds = a.data<int>(S::preds);
-  for (std::size_t h = 0; h < sizes.size(); ++h)
-    preds[h] = nn::argmax_index(std::span<const T>(logits).subspan(
-        static_cast<std::size_t>(net.head_offset(static_cast<int>(h))),
-        static_cast<std::size_t>(sizes[h])));
 }
 
 void ModelState::run_heads(ReadoutView enc, int region,
@@ -206,50 +193,22 @@ void ModelState::run_heads(ReadoutView enc, int region,
     run_heads_t<float>(enc, region, cap_index, cap_w, ws);
 }
 
-template <typename T>
-sim::OmpConfig ModelState::decode_power_t(const Workspace& ws) const {
-  const std::span<const int> preds = view<int>(ws.arena_, Slots<T>::preds);
-  // Fast path: run_heads already computed the per-head (or flat) argmax —
-  // the maximum-sum tuple. If the constraint layer admits it, it is the
-  // constrained argmax too, and this decode is the historic one verbatim.
-  const sim::OmpConfig fast = tuner_.decode_config(preds, 0);
-  if (tuner_.db_.space().is_valid(fast, ws.cap_w_)) return fast;
-  return tuner_.decode_power_logits<T>(view<T>(ws.arena_, Slots<T>::logits),
-                                       ws.cap_w_, beam_width_);
-}
-
-template <typename T>
-core::PnpTuner::JointChoice ModelState::decode_edp_t(
-    const Workspace& ws) const {
-  const core::SearchSpace& space = tuner_.db_.space();
-  const std::span<const int> preds = view<int>(ws.arena_, Slots<T>::preds);
-  core::PnpTuner::JointChoice jc;
-  if (tuner_.opt_.factored_heads) {
-    jc.cap_index = preds[0];
-    jc.cfg = tuner_.decode_config(preds, 1);
-  } else {
-    jc.cap_index = core::tuner_classes_from_flat(space, preds[0],
-                                                 /*edp_scenario=*/true)
-                       .cap;
-    jc.cfg = tuner_.decode_config(preds, 0);
-  }
-  const double cap_w =
-      space.power_caps()[static_cast<std::size_t>(jc.cap_index)];
-  if (space.is_valid(jc.cfg, cap_w)) return jc;
-  return tuner_.decode_edp_logits<T>(view<T>(ws.arena_, Slots<T>::logits),
-                                     beam_width_);
-}
-
 sim::OmpConfig ModelState::decode_power(const Workspace& ws) const {
   PNP_CHECK_MSG(ws.key_ != 0, "decode before run_heads on this workspace");
-  return precision_ == nn::Precision::f64 ? decode_power_t<double>(ws)
-                                          : decode_power_t<float>(ws);
+  const nn::Arena& a = ws.arena_;
+  return precision_ == nn::Precision::f64
+             ? tuner_.decode_power_logits(
+                   view<double>(a, Slots<double>::logits), ws.cap_w_)
+             : tuner_.decode_power_logits(
+                   view<float>(a, Slots<float>::logits), ws.cap_w_);
 }
 
 core::PnpTuner::JointChoice ModelState::decode_edp(const Workspace& ws) const {
   PNP_CHECK_MSG(ws.key_ != 0, "decode before run_heads on this workspace");
-  return precision_ == nn::Precision::f64 ? decode_edp_t<double>(ws)
-                                          : decode_edp_t<float>(ws);
+  const nn::Arena& a = ws.arena_;
+  return precision_ == nn::Precision::f64
+             ? tuner_.decode_edp_logits(view<double>(a, Slots<double>::logits))
+             : tuner_.decode_edp_logits(view<float>(a, Slots<float>::logits));
 }
 
 }  // namespace pnp::serve

@@ -59,13 +59,9 @@ class ModelState {
   /// no trained scenario. `precision` overrides the serving tier; nullopt
   /// uses the tuner's artifact-persisted preference (f64 by default).
   /// At Precision::f32 the dense weights are down-converted once here and
-  /// encodings additionally carry an f32 readout. `beam_width` bounds the
-  /// constraint-fallback beam search (<= 0 = full width, exact); it only
-  /// matters when the per-head argmax tuple violates a constraint —
-  /// unconstrained spaces never run the beam.
+  /// encodings additionally carry an f32 readout.
   explicit ModelState(core::PnpTuner tuner,
-                      std::optional<nn::Precision> precision = std::nullopt,
-                      int beam_width = 0);
+                      std::optional<nn::Precision> precision = std::nullopt);
 
   const core::PnpTuner& tuner() const { return tuner_; }
   core::PnpTuner::Mode mode() const { return tuner_.mode(); }
@@ -77,9 +73,9 @@ class ModelState {
   bool scalar_cap() const;
 
   /// Arena-backed per-thread serving workspace: every per-request scratch
-  /// tensor of run_heads — extra features, dense activations, logits,
-  /// predictions — laid into ONE contiguous nn::Arena with lifetime-based
-  /// byte reuse (nn/arena.hpp). bind() re-plans only when the model's
+  /// tensor of run_heads — extra features, dense activations, logits —
+  /// laid into ONE contiguous nn::Arena with lifetime-based byte reuse
+  /// (nn/arena.hpp). bind() re-plans only when the model's
   /// dense shape or precision changes (first use and hot reloads);
   /// steady-state run_heads/decode touch one hot cache-resident block and
   /// never allocate.
@@ -121,40 +117,32 @@ class ModelState {
   /// before the workspace's next encode.
   Encoding encode_readout(int region, nn::RgcnNet::GnnCache& ws) const;
 
-  /// Dense pass + per-head argmax over a cached encoding into `ws`, at
-  /// this model's tier; zero allocations at steady state. Exactly one of
-  /// `cap_index` / `cap_w` is set for power queries (cap_w serves
-  /// held-out caps on scalar-cap models); both empty for EDP.
+  /// Dense pass over a cached encoding, leaving the head logits in `ws`
+  /// for decode_*, at this model's tier; zero allocations at steady
+  /// state. Exactly one of `cap_index` / `cap_w` is set for power queries
+  /// (cap_w serves held-out caps on scalar-cap models); both empty for
+  /// EDP.
   void run_heads(ReadoutView enc, int region, std::optional<int> cap_index,
                  std::optional<double> cap_w, Workspace& ws) const;
 
-  /// Decode after a power-scenario run_heads: the argmax tuple is
-  /// constraint-checked against the stashed query cap; a violation falls
-  /// back to beam search over the workspace's logits, at the serving
-  /// tier. On unconstrained spaces this is the historic argmax decode
+  /// Decode after a power-scenario run_heads: the tuner's own
+  /// constraint-aware decode (PnpTuner::decode_power_logits) over the
+  /// workspace's logits at the serving tier, against the stashed query
+  /// cap. On unconstrained spaces this is the historic argmax decode
   /// bit-for-bit.
   sim::OmpConfig decode_power(const Workspace& ws) const;
-  /// Decode after an EDP run_heads (same fast-path/beam protocol).
+  /// Decode after an EDP run_heads (PnpTuner::decode_edp_logits).
   core::PnpTuner::JointChoice decode_edp(const Workspace& ws) const;
 
-  /// Beam width of the constraint-fallback search (0 = full width).
-  int beam_width() const { return beam_width_; }
-
  private:
-  // One body per entry point, templated on the logits type: double at
-  // Precision::f64, float at f32. The public entry points dispatch on
-  // precision_ once.
+  // One body, templated on the logits type: double at Precision::f64,
+  // float at f32. run_heads and decode_* dispatch on precision_ once.
   template <typename T>
   void run_heads_t(ReadoutView enc, int region, std::optional<int> cap_index,
                    std::optional<double> cap_w, Workspace& ws) const;
-  template <typename T>
-  sim::OmpConfig decode_power_t(const Workspace& ws) const;
-  template <typename T>
-  core::PnpTuner::JointChoice decode_edp_t(const Workspace& ws) const;
 
   core::PnpTuner tuner_;
   nn::Precision precision_ = nn::Precision::f64;
-  int beam_width_ = 0;
   /// f32 tier only: the dense weights down-converted once at construction.
   nn::RgcnNet::DenseWeightsF32 dense_f32_;
 };

@@ -23,9 +23,8 @@ constexpr auto kAcquire = std::memory_order_acquire;
 
 TuningService::Snapshot::Snapshot(core::PnpTuner tuner,
                                   std::optional<nn::Precision> precision,
-                                  int beam_width,
                                   std::shared_ptr<Counters> ctrs)
-    : model(std::move(tuner), precision, beam_width),
+    : model(std::move(tuner), precision),
       shards(kCacheStripes),
       counters(std::move(ctrs)) {}
 
@@ -146,7 +145,7 @@ std::uint64_t TuningService::publish_locked(core::PnpTuner tuner) {
   // ModelState's constructor rejects untrained tuners, so an invalid
   // candidate throws here, before anything is published.
   auto snap = std::make_shared<Snapshot>(std::move(tuner), opt_.precision,
-                                         opt_.beam_width, counters_);
+                                         counters_);
   snap->version = snapshot_.version() + 1;
   return snapshot_.publish(std::move(snap));
 }

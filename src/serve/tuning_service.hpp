@@ -87,10 +87,6 @@ struct TuningServiceOptions {
   /// predating the f32 tier). A reload may therefore switch tiers
   /// mid-stream when the new artifact asks for a different one.
   std::optional<nn::Precision> precision;
-  /// Constraint-fallback beam width passed to every published ModelState
-  /// (<= 0 = full width, exact). Only consulted when a query's argmax
-  /// tuple is pruned by the search space's constraint layer.
-  int beam_width = 0;
 };
 
 class TuningService {
@@ -206,7 +202,7 @@ class TuningService {
   /// encoding() stays valid for the snapshot's lifetime.
   struct Snapshot {
     Snapshot(core::PnpTuner tuner, std::optional<nn::Precision> precision,
-             int beam_width, std::shared_ptr<Counters> counters);
+             std::shared_ptr<Counters> counters);
 
     std::uint64_t version = 0;
     ModelState model;

@@ -10,7 +10,7 @@
 ///     Workspace path produces predictions bit-identical to a
 ///     fresh-memory reference that shares no Workspace or arena code —
 ///     PnpTuner::predict_* at f64, a plain-vector f32 dense pass plus the
-///     public full-width decoders at f32 — across power, power_at, and
+///     public core decoders at f32 — across power, power_at, and
 ///     edp queries, factored and dense heads, and across a hot reload.
 ///  3. The fast path's reason to exist: steady-state arena serving
 ///     performs ZERO heap allocations, verified by counting every global
@@ -312,8 +312,8 @@ core::PnpTuner::JointChoice reference(const core::PnpTuner& t,
                          cfg.head_sizes[static_cast<std::size_t>(h)]));
   };
   const core::SearchChoice c =
-      edp ? core::search_edp<float>(s, head(0), head(1), head(2), head(3), 0)
-          : core::search_power<float>(s, w, head(0), head(1), head(2), 0);
+      edp ? core::search_edp<float>(s, head(0), head(1), head(2), head(3))
+          : core::search_power<float>(s, w, head(0), head(1), head(2));
   return {edp ? c.cap_cls : echo,
           s.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls)};
 }

@@ -1,11 +1,16 @@
-/// Search-equivalence and constraint-layer tests (ISSUE 8): beam/top-k
-/// model-guided search vs the exhaustive oracle, the extended
+/// Search-equivalence and constraint-layer tests: the model-guided
+/// constrained search vs the exhaustive oracle, the extended
 /// constraint-carrying spaces, custom-space validation, and the serving
 /// decode's fast-path/fallback protocol end to end.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +19,8 @@
 #include "core/pnp_tuner.hpp"
 #include "core/search_space.hpp"
 #include "core/tuner_artifact.hpp"
+#include "hw/machine_generator.hpp"
+#include "nn/loss.hpp"
 #include "serve/tuning_service.hpp"
 #include "workloads/suite.hpp"
 
@@ -150,7 +157,7 @@ TEST(CustomSpace, ValidatesItsInputs) {
   EXPECT_EQ(ok.max_valid_threads(50.0), 4);
 }
 
-// --- Beam search vs the exhaustive oracle ---------------------------------
+// --- Constrained search vs the exhaustive oracle --------------------------
 
 template <typename T>
 void check_power_equivalence(const SearchSpace& s, std::uint64_t seed) {
@@ -168,23 +175,8 @@ void check_power_equivalence(const SearchSpace& s, std::uint64_t seed) {
         s.config_from_classes(oracle.thread_cls, oracle.sched_cls,
                               oracle.chunk_cls),
         cap_w));
-    // Full width (0) and any width >= the space size are bit-identical to
-    // the exhaustive scan.
-    for (int width : {0, s.joint_size()}) {
-      const SearchChoice beam = search_power<T>(s, cap_w, ts, ss, cs, width);
-      EXPECT_TRUE(same_choice(beam, oracle))
-          << "cap " << cap_w << " width " << width;
-    }
-    // Narrow beams must still answer with a valid config and can never
-    // beat the oracle's score.
-    for (int width : {1, 2, 3}) {
-      const SearchChoice beam = search_power<T>(s, cap_w, ts, ss, cs, width);
-      EXPECT_TRUE(s.is_valid(
-          s.config_from_classes(beam.thread_cls, beam.sched_cls,
-                                beam.chunk_cls),
-          cap_w));
-      EXPECT_LE(beam.score, oracle.score);
-    }
+    EXPECT_TRUE(same_choice(search_power<T>(s, cap_w, ts, ss, cs), oracle))
+        << "cap " << cap_w;
   }
 }
 
@@ -201,44 +193,34 @@ void check_edp_equivalence(const SearchSpace& s, std::uint64_t seed) {
   std::vector<T> chk(chk64.begin(), chk64.end());
   const std::span<const T> ps(cap), ts(thr), ss(sch), cs(chk);
   const SearchChoice oracle = exhaustive_edp<T>(s, ps, ts, ss, cs);
-  for (int width : {0, s.joint_size()}) {
-    const SearchChoice beam = search_edp<T>(s, ps, ts, ss, cs, width);
-    EXPECT_TRUE(same_choice(beam, oracle)) << "width " << width;
-  }
-  for (int width : {1, 2, 3}) {
-    const SearchChoice beam = search_edp<T>(s, ps, ts, ss, cs, width);
-    EXPECT_TRUE(s.is_valid(
-        s.config_from_classes(beam.thread_cls, beam.sched_cls, beam.chunk_cls),
-        s.power_caps()[static_cast<std::size_t>(beam.cap_cls)]));
-    EXPECT_LE(beam.score, oracle.score);
-  }
+  EXPECT_TRUE(same_choice(search_edp<T>(s, ps, ts, ss, cs), oracle));
 }
 
-TEST(BeamSearch, MatchesExhaustivePowerF64) {
+TEST(ConstrainedSearch, MatchesExhaustivePowerF64) {
   for (const auto& s : all_spaces())
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u})
       check_power_equivalence<double>(s, seed);
 }
 
-TEST(BeamSearch, MatchesExhaustivePowerF32) {
+TEST(ConstrainedSearch, MatchesExhaustivePowerF32) {
   for (const auto& s : all_spaces())
     for (std::uint64_t seed : {1u, 2u, 3u})
       check_power_equivalence<float>(s, seed);
 }
 
-TEST(BeamSearch, MatchesExhaustiveEdpF64) {
+TEST(ConstrainedSearch, MatchesExhaustiveEdpF64) {
   for (const auto& s : all_spaces())
     for (std::uint64_t seed : {7u, 8u, 9u, 10u, 11u})
       check_edp_equivalence<double>(s, seed);
 }
 
-TEST(BeamSearch, MatchesExhaustiveEdpF32) {
+TEST(ConstrainedSearch, MatchesExhaustiveEdpF32) {
   for (const auto& s : all_spaces())
     for (std::uint64_t seed : {7u, 8u, 9u})
       check_edp_equivalence<float>(s, seed);
 }
 
-TEST(BeamSearch, TieBreakIsLexicographicOnEqualLogits) {
+TEST(ConstrainedSearch, TieBreakIsLexicographicOnEqualLogits) {
   // All-zero logits: every tuple scores 0, so the winner must be the first
   // valid tuple in (cap, thread, sched, chunk) lexicographic order — the
   // same first-max-wins protocol as nn::argmax_index.
@@ -247,18 +229,17 @@ TEST(BeamSearch, TieBreakIsLexicographicOnEqualLogits) {
     const std::vector<double> sch(static_cast<std::size_t>(s.num_schedule_classes()), 0.0);
     const std::vector<double> chk(static_cast<std::size_t>(s.num_chunk_classes()), 0.0);
     const double cap_w = s.power_caps().front();
-    const SearchChoice beam =
-        search_power<double>(s, cap_w, thr, sch, chk, 0);
+    const SearchChoice got = search_power<double>(s, cap_w, thr, sch, chk);
     const SearchChoice oracle =
         exhaustive_power<double>(s, cap_w, thr, sch, chk);
-    EXPECT_TRUE(same_choice(beam, oracle));
+    EXPECT_TRUE(same_choice(got, oracle));
     EXPECT_EQ(oracle.thread_cls, 0);
     EXPECT_EQ(oracle.sched_cls, 0);
     EXPECT_EQ(oracle.chunk_cls, 0);  // (1 thread, static, default chunk)
   }
 }
 
-TEST(BeamSearch, FastPathEqualsArgmaxOnUnconstrainedSpace) {
+TEST(ConstrainedSearch, FastPathEqualsArgmaxOnUnconstrainedSpace) {
   // On a constraint-free space the per-head argmax tuple is always valid,
   // so the search must return exactly the independent-argmax decode.
   const auto s = SearchSpace::for_machine(hw::MachineModel::haswell());
@@ -273,14 +254,14 @@ TEST(BeamSearch, FastPathEqualsArgmaxOnUnconstrainedSpace) {
     return best;
   };
   const SearchChoice c =
-      search_power<double>(s, s.power_caps()[0], thr, sch, chk, 0);
+      search_power<double>(s, s.power_caps()[0], thr, sch, chk);
   EXPECT_EQ(c.thread_cls, argmax(thr));
   EXPECT_EQ(c.sched_cls, argmax(sch));
   EXPECT_EQ(c.chunk_cls, argmax(chk));
   EXPECT_FALSE(c.used_fallback);
 }
 
-TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
+TEST(ConstrainedSearch, FallsBackToDefaultWhenEverythingIsPruned) {
   // kMaxThreads 0.5 prunes every grid config; only the default survives
   // (the fallback guarantee).
   const auto s = SearchSpace::custom(
@@ -292,9 +273,9 @@ TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
   const auto sch = gen.vec(s.num_schedule_classes());
   const auto chk = gen.vec(s.num_chunk_classes());
   for (double cap_w : s.power_caps()) {
-    const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk, 0);
-    // The default tuple is reachable as a regular (always-valid) beam
-    // member, so this is a genuine search result, not the emergency
+    const SearchChoice c = search_power<double>(s, cap_w, thr, sch, chk);
+    // The default tuple is reachable as a regular (always-valid) scan
+    // candidate, so this is a genuine search result, not the emergency
     // fallback path.
     EXPECT_EQ(s.config_from_classes(c.thread_cls, c.sched_cls, c.chunk_cls),
               s.default_config());
@@ -315,6 +296,186 @@ TEST(BeamSearch, FallsBackToDefaultWhenEverythingIsPruned) {
             s.default_config());
 }
 
+// --- Seeded sweep: the decode is the exhaustive argmax, bit for bit --------
+
+/// Every field, the score compared by its bit pattern (so a NaN score
+/// must match and -0.0 differs from +0.0).
+bool identical(const SearchChoice& a, const SearchChoice& b) {
+  return a.cap_cls == b.cap_cls && a.thread_cls == b.thread_cls &&
+         a.sched_cls == b.sched_cls && a.chunk_cls == b.chunk_cls &&
+         a.used_fallback == b.used_fallback &&
+         std::bit_cast<std::uint64_t>(a.score) ==
+             std::bit_cast<std::uint64_t>(b.score);
+}
+
+std::string describe(const SearchChoice& c) {
+  std::ostringstream os;
+  os << "(" << c.cap_cls << "," << c.thread_cls << "," << c.sched_cls << ","
+     << c.chunk_cls << ") score " << c.score << " fallback "
+     << c.used_fallback;
+  return os.str();
+}
+
+constexpr int kSweepSets = 210;
+constexpr int kSweepKinds = 6;
+
+/// One head of a sweep logit set of kind `kind` (see sweep_set()).
+std::vector<double> sweep_head(LogitGen& gen, int n, int kind) {
+  std::vector<double> v = gen.vec(n);
+  for (double& x : v) {
+    if (kind == 1 || kind == 3) x = std::round(x * 4.0) / 4.0;
+    const double u = gen.next();
+    if ((kind == 2 || kind == 4) && u > 0.8)
+      x = std::numeric_limits<double>::quiet_NaN();
+    else if ((kind == 3 || kind == 4) && u < -0.8)
+      x = (u < -0.9 ? -1.0 : 1.0) * std::numeric_limits<double>::infinity();
+  }
+  return v;
+}
+
+TEST(ExactScanSweep, FastPathScoreKeepsTheOraclesSignedZero) {
+  // Every head's maximum is -0.0: the fast path answers, and its score must
+  // carry the oracle's bits (0.0 + -0.0 = +0.0), not -0.0.
+  const auto s = SearchSpace::for_machine(hw::MachineModel::haswell());
+  std::vector<double> thr(static_cast<std::size_t>(s.num_thread_classes()), -1.0);
+  std::vector<double> sch(static_cast<std::size_t>(s.num_schedule_classes()), -1.0);
+  std::vector<double> chk(static_cast<std::size_t>(s.num_chunk_classes()), -1.0);
+  thr[2] = sch[1] = chk[3] = -0.0;
+  const double cap_w = s.power_caps().front();
+  const SearchChoice got = search_power<double>(s, cap_w, thr, sch, chk);
+  EXPECT_EQ(got.thread_cls, 2);
+  EXPECT_TRUE(identical(got, exhaustive_power<double>(s, cap_w, thr, sch, chk)))
+      << describe(got);
+}
+
+/// The extended spaces of the sweep: haswell, skylake and one generated
+/// machine.
+std::vector<SearchSpace> sweep_spaces() {
+  return {SearchSpace::extended_for_machine(hw::MachineModel::haswell()),
+          SearchSpace::extended_for_machine(hw::MachineModel::skylake()),
+          SearchSpace::extended_for_machine(
+              hw::MachineGenerator(2024).machine(2))};
+}
+
+/// A cap below the extended space's one-thread watt budget (its
+/// thread-per-watt slope is max threads / TDP): the rule prunes every grid
+/// thread count, so only the default config stays valid.
+double starved_cap(const SearchSpace& s) {
+  return 0.5 * s.tdp() / static_cast<double>(s.thread_values().back());
+}
+
+/// `s` with every cap starved.
+SearchSpace starved(const SearchSpace& s) {
+  const double cap_w = starved_cap(s);
+  return SearchSpace::custom(s.thread_values(), s.schedule_values(),
+                             s.chunk_values(), {cap_w / 2.0, cap_w},
+                             s.default_config(), s.constraints());
+}
+
+/// Sweep logit set `i`, heads in cap, thread, schedule, chunk order. The
+/// kinds rotate with `i`:
+///   0 continuous in [-1, 1);
+///   1 quantized to quarters — sums are exact, so ties (and -0.0) abound;
+///   2 continuous, ~10% NaN;
+///   3 quantized, ~5% +inf and ~5% -inf;
+///   4 continuous, NaN and ±inf mixed;
+///   5 continuous with the largest thread count's logit planted on top —
+///     pruned below TDP, so the fast path misses and the scan runs.
+struct SweepSet {
+  int kind = 0;
+  std::vector<double> cap, thr, sch, chk;
+};
+
+SweepSet sweep_set(const SearchSpace& s, std::uint64_t seed, int i) {
+  LogitGen gen(seed * 1000 + static_cast<std::uint64_t>(i));
+  SweepSet set;
+  set.kind = i % kSweepKinds;
+  set.cap = sweep_head(gen, s.num_cap_classes(), set.kind);
+  set.thr = sweep_head(gen, s.num_thread_classes(), set.kind);
+  set.sch = sweep_head(gen, s.num_schedule_classes(), set.kind);
+  set.chk = sweep_head(gen, s.num_chunk_classes(), set.kind);
+  if (set.kind == 5) set.thr.back() = 2.0;
+  return set;
+}
+
+template <typename T>
+std::vector<T> as(const std::vector<double>& v) {
+  return std::vector<T>(v.begin(), v.end());
+}
+
+template <typename T>
+void sweep_power(const SearchSpace& s, std::uint64_t seed) {
+  std::vector<double> caps = s.power_caps();
+  caps.push_back(starved_cap(s));
+  ASSERT_EQ(s.max_valid_threads(caps.back()), 0);
+  int scanned = 0;
+  for (int i = 0; i < kSweepSets; ++i) {
+    const SweepSet set = sweep_set(s, seed, i);
+    const auto thr = as<T>(set.thr), sch = as<T>(set.sch),
+               chk = as<T>(set.chk);
+    const std::span<const T> ts(thr), ss(sch), cs(chk);
+    for (double cap_w : caps) {
+      const SearchChoice oracle = exhaustive_power<T>(s, cap_w, ts, ss, cs);
+      const SearchChoice got = search_power<T>(s, cap_w, ts, ss, cs);
+      ASSERT_TRUE(identical(got, oracle))
+          << "set " << i << " kind " << set.kind << " cap " << cap_w << ": "
+          << describe(got) << " vs oracle " << describe(oracle);
+      const int ti = nn::argmax_index(ts), si = nn::argmax_index(ss),
+                ki = nn::argmax_index(cs);
+      if (!s.is_valid(s.config_from_classes(ti, si, ki), cap_w)) ++scanned;
+    }
+  }
+  EXPECT_GT(scanned, kSweepSets);  // the scan, not the fast path, is tested
+}
+
+template <typename T>
+void sweep_edp(const SearchSpace& s, std::uint64_t seed) {
+  int scanned = 0;
+  for (int i = 0; i < kSweepSets; ++i) {
+    const SweepSet set = sweep_set(s, seed, i);
+    const auto cap = as<T>(set.cap), thr = as<T>(set.thr),
+               sch = as<T>(set.sch), chk = as<T>(set.chk);
+    const std::span<const T> ps(cap), ts(thr), ss(sch), cs(chk);
+    const SearchChoice oracle = exhaustive_edp<T>(s, ps, ts, ss, cs);
+    const SearchChoice got = search_edp<T>(s, ps, ts, ss, cs);
+    ASSERT_TRUE(identical(got, oracle))
+        << "set " << i << " kind " << set.kind << ": " << describe(got)
+        << " vs oracle " << describe(oracle);
+    const int ci = nn::argmax_index(ps), ti = nn::argmax_index(ts),
+              si = nn::argmax_index(ss), ki = nn::argmax_index(cs);
+    if (!s.is_valid(s.config_from_classes(ti, si, ki),
+                    s.power_caps()[static_cast<std::size_t>(ci)]))
+      ++scanned;
+  }
+  EXPECT_GT(scanned, 0);
+}
+
+TEST(ExactScanSweep, PowerEqualsExhaustiveF64) {
+  std::uint64_t seed = 100;
+  for (const auto& s : sweep_spaces()) sweep_power<double>(s, ++seed);
+}
+
+TEST(ExactScanSweep, PowerEqualsExhaustiveF32) {
+  std::uint64_t seed = 200;
+  for (const auto& s : sweep_spaces()) sweep_power<float>(s, ++seed);
+}
+
+TEST(ExactScanSweep, EdpEqualsExhaustiveF64) {
+  std::uint64_t seed = 300;
+  for (const auto& s : sweep_spaces()) {
+    sweep_edp<double>(s, ++seed);
+    sweep_edp<double>(starved(s), ++seed);
+  }
+}
+
+TEST(ExactScanSweep, EdpEqualsExhaustiveF32) {
+  std::uint64_t seed = 400;
+  for (const auto& s : sweep_spaces()) {
+    sweep_edp<float>(s, ++seed);
+    sweep_edp<float>(starved(s), ++seed);
+  }
+}
+
 TEST(DenseArgmax, EqualsPlainArgmaxOnUnconstrainedSpace) {
   const auto s = SearchSpace::for_machine(hw::MachineModel::skylake());
   LogitGen gen(9);
@@ -331,7 +492,85 @@ TEST(DenseArgmax, EqualsPlainArgmaxOnUnconstrainedSpace) {
             plain);
 }
 
-// --- Trained models: serving equals the tuner, across spaces and widths ---
+/// The validity-filtered scan over the flat grid, without the argmax fast
+/// path: the reference for dense_argmax_valid.
+int dense_reference(const SearchSpace& s, std::span<const double> logits,
+                    bool edp, double cap_w) {
+  int best = -1;
+  double best_score = 0.0;
+  for (int flat = 0; flat < static_cast<int>(logits.size()); ++flat) {
+    const TunerClasses c = tuner_classes_from_flat(s, flat, edp);
+    const double w =
+        edp ? s.power_caps()[static_cast<std::size_t>(c.cap)] : cap_w;
+    if (!s.is_valid(s.config_from_classes(c.thread, c.sched, c.chunk), w))
+      continue;
+    const double x = logits[static_cast<std::size_t>(flat)];
+    if (best < 0 || x > best_score) {
+      best = flat;
+      best_score = x;
+    }
+  }
+  return best;
+}
+
+TEST(DenseArgmax, FastPathEqualsTheValidityScan) {
+  // Every sweep kind, on the constraint-carrying spaces, power (every cap
+  // and a starved one) and EDP: the fast path may only answer when the
+  // full scan would give the same index.
+  for (const auto& s : sweep_spaces()) {
+    const int grid =
+        s.num_thread_classes() * s.num_schedule_classes() * s.num_chunk_classes();
+    std::vector<double> caps = s.power_caps();
+    caps.push_back(starved_cap(s));
+    LogitGen gen(77);
+    for (int i = 0; i < 6 * kSweepKinds; ++i) {
+      const int kind = i % kSweepKinds;
+      std::vector<double> power = sweep_head(gen, grid, kind);
+      std::vector<double> edp =
+          sweep_head(gen, grid * s.num_cap_classes(), kind);
+      if (kind == 5) {
+        // Plant the maximum on the largest thread count: pruned below TDP.
+        const int top = s.num_thread_classes() - 1;
+        power[static_cast<std::size_t>(
+            tuner_flat_class(s, {0, top, 0, 0}, false))] = 2.0;
+        edp[static_cast<std::size_t>(
+            tuner_flat_class(s, {0, top, 0, 0}, true))] = 2.0;
+      }
+      for (double cap_w : caps)
+        EXPECT_EQ(dense_argmax_valid<double>(s, power, false, cap_w),
+                  dense_reference(s, power, false, cap_w))
+            << "set " << i << " cap " << cap_w;
+      EXPECT_EQ(dense_argmax_valid<double>(s, edp, true, 0.0),
+                dense_reference(s, edp, true, 0.0))
+          << "set " << i;
+    }
+  }
+}
+
+TEST(DenseArgmax, NanOnTheFirstValidClassTakesTheScan) {
+  // At the 10 W cap only the default (8 threads) is valid, so the first
+  // valid EDP class is not class 0. A NaN there wins the scan (nothing
+  // compares greater), while the plain argmax skips it: the fast path
+  // must not answer.
+  const auto s = SearchSpace::custom(
+      {4, 8}, {sim::Schedule::Static, sim::Schedule::Dynamic}, {16, 32},
+      {10.0, 80.0}, {8, sim::Schedule::Static, 0},
+      {{ConstraintRule::Kind::kMaxThreadsPerWatt, 0.1, 0.0}});
+  LogitGen gen(5);
+  std::vector<double> edp = gen.vec(s.num_cap_classes() *
+                                    s.num_thread_classes() *
+                                    s.num_schedule_classes() *
+                                    s.num_chunk_classes());
+  const int def = tuner_flat_class(
+      s, tuner_classes_for(s, s.default_config(), 0), true);
+  edp[static_cast<std::size_t>(def)] =
+      std::numeric_limits<double>::quiet_NaN();
+  edp.back() = 2.0;  // the argmax: valid at the 80 W cap
+  EXPECT_EQ(dense_argmax_valid<double>(s, edp, true, 0.0), def);
+  EXPECT_EQ(dense_reference(s, edp, true, 0.0), def);
+}
+
+// --- Trained models: serving equals the tuner on the extended space -------
 
 MeasurementDb small_db(const hw::MachineModel& m, const SearchSpace& space) {
   auto regions = workloads::Suite::instance().all_regions();
@@ -350,8 +589,8 @@ TEST(ModelGuidedServing, ServiceMatchesTunerOnExtendedSpace) {
   for (int r = 0; r < db.num_regions(); ++r) all.push_back(r);
   tuner.train_power_scenario(all);
 
-  // The tuner's own predictions (full-width search) are the reference;
-  // the service must match them at full width.
+  // The tuner's own predictions are the reference; the service must match
+  // them.
   std::vector<serve::TuneRequest> grid;
   for (int r = 0; r < db.num_regions(); ++r)
     for (int k = 0; k < db.num_caps(); ++k)
@@ -364,16 +603,6 @@ TEST(ModelGuidedServing, ServiceMatchesTunerOnExtendedSpace) {
     EXPECT_EQ(got[i].config,
               tuner.predict_power(grid[i].region, grid[i].cap_index))
         << "region " << grid[i].region << " cap " << grid[i].cap_index;
-
-  // A narrow beam still serves valid configs at every cap.
-  serve::TuningServiceOptions narrow;
-  narrow.beam_width = 2;
-  serve::TuningService narrow_service(
-      PnpTuner::from_artifact(db, tuner.to_artifact()), narrow);
-  for (const serve::TuneRequest& q : grid)
-    EXPECT_TRUE(space.is_valid(
-        narrow_service.tune(q).config,
-        space.power_caps()[static_cast<std::size_t>(q.cap_index)]));
 }
 
 TEST(ModelGuidedServing, EdpServiceMatchesTunerOnExtendedSpace) {
@@ -423,9 +652,7 @@ TEST(ModelGuidedServing, ServiceHotReloadsExtendedSpaceArtifact) {
   second.train_power_scenario(all);
   second.save(p2);
 
-  serve::TuningServiceOptions sopt;
-  sopt.beam_width = 4;
-  serve::TuningService service(db, p1, sopt);
+  serve::TuningService service(db, p1);
   EXPECT_EQ(service.model_version(), 1u);
 
   // Serve → hot-reload → serve; both versions answer deterministically and

@@ -4,7 +4,7 @@
 ///   pnp_eval --seed 7 --regions 64 [--machine haswell|skylake]
 ///            [--epochs N] [--max-per-app K] [--counters]
 ///            [--heads factored|dense] [--space table1|extended]
-///            [--beam-width N] [--out FILE]
+///            [--out FILE]
 ///
 /// End-to-end flow: procedurally generate a corpus of --regions OpenMP
 /// regions (workloads::Generator), build one MeasurementDb over paper
@@ -27,7 +27,7 @@
 ///                          fleet artifact on the K machines it never saw
 ///                          (the "machine_split" JSON block).
 ///
-/// Output is one stable JSON document (schema "pnp-eval-v3", self-checked
+/// Output is one stable JSON document (schema "pnp-eval-v4", self-checked
 /// with json_validate before writing): a pure function of the flags, so
 /// two runs with the same arguments are byte-identical, whatever the CPU
 /// affinity mask (and so the trainer's thread count). CI runs it twice
@@ -64,7 +64,6 @@ struct Args {
   std::string machine = "haswell";
   std::string heads = "factored";  // factored | dense
   std::string space = "table1";    // table1 | extended
-  int beam_width = 0;              // <= 0 = full-width (exact) search
   int machines = 0;                // 0 = no unseen-machine split
   int holdout_machines = 2;
   std::string out_path;  // empty = stdout
@@ -75,7 +74,7 @@ struct Args {
                "usage: %s [--seed N] [--regions N] [--machine NAME]\n"
                "          [--epochs N] [--max-per-app N] [--counters]\n"
                "          [--heads factored|dense] [--space table1|extended]\n"
-               "          [--beam-width N] [--machines N]\n"
+               "          [--machines N]\n"
                "          [--holdout-machines K] [--out FILE]\n"
                "machine names: haswell, skylake, or gen:<seed>:<index>\n"
                "--machines N adds the unseen-machine split over an N-machine\n"
@@ -104,8 +103,6 @@ Args parse_args(int argc, char** argv) {
       else if (flag == "--counters") a.counters = true;
       else if (flag == "--heads") a.heads = value();
       else if (flag == "--space") a.space = value();
-      else if (flag == "--beam-width")
-        a.beam_width = parse_int(value(), "--beam-width", 0, 1 << 20);
       else if (flag == "--machines")
         a.machines = parse_int(value(), "--machines", 2, 256);
       else if (flag == "--holdout-machines")
@@ -287,7 +284,6 @@ int run(const Args& a) {
       serve::TuningServiceOptions ref_opt, f32_opt;
       ref_opt.precision = nn::Precision::f64;
       f32_opt.precision = nn::Precision::f32;
-      ref_opt.beam_width = f32_opt.beam_width = a.beam_width;
       serve::TuningService ref_service(core::PnpTuner::from_artifact(db, art),
                                        ref_opt);
       serve::TuningService f32_service(core::PnpTuner::from_artifact(db, art),
@@ -301,9 +297,7 @@ int run(const Args& a) {
                    pdelta.flips, pdelta.queries, pdelta.flip_rate,
                    pdelta.max_abs_dpower_w);
     } else {
-      serve::TuningServiceOptions opt;
-      opt.beam_width = a.beam_width;
-      serve::TuningService service(std::move(tuner), opt);
+      serve::TuningService service(std::move(tuner));
       configs = predict_split(evaluator, split, service, caps_w);
     }
     results.push_back(evaluator.score(split, configs));
@@ -332,7 +326,7 @@ int run(const Args& a) {
 
   JsonWriter w;
   w.begin_object();
-  w.key("schema").value("pnp-eval-v3");
+  w.key("schema").value("pnp-eval-v4");
   w.key("machine").value(a.machine);
   w.key("seed").value(static_cast<std::uint64_t>(a.seed));
   // Self-describing search-space block: the grid this run tuned over, how
@@ -341,7 +335,6 @@ int run(const Args& a) {
   w.key("search_space").begin_object();
   w.key("space").value(a.space);
   w.key("heads").value(a.heads);
-  w.key("beam_width").value(a.beam_width);
   w.key("caps").value(space.num_cap_classes());
   w.key("threads").value(space.num_thread_classes());
   w.key("schedules").value(space.num_schedule_classes());

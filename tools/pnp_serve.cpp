@@ -3,7 +3,7 @@
 /// thread pool and print a deterministic result grid (docs/SERVING.md):
 ///
 ///   pnp_serve --machine NAME --model MODEL --requests FILE
-///             [--threads N] [--space table1|extended] [--beam-width N]
+///             [--threads N] [--space table1|extended]
 ///             [--out FILE] [--observe-log PATH]
 ///
 /// The request file holds one request per line ('#' starts a comment):
@@ -57,7 +57,6 @@ struct Args {
   std::string space = "table1";  // table1 | extended
   std::string observe_log;  // empty = observe lines rejected
   int threads = 4;
-  serve::TuningServiceOptions service;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -65,7 +64,7 @@ struct Args {
       stderr,
       "usage:\n"
       "  %s --machine NAME --model MODEL --requests FILE\n"
-      "     [--threads N] [--space table1|extended] [--beam-width N]\n"
+      "     [--threads N] [--space table1|extended]\n"
       "     [--out FILE] [--observe-log PATH]\n"
       "request file lines: 'power R K' | 'power_at R WATTS' | 'edp R' |\n"
       "'reload PATH' (a barrier: drains, swaps the model, continues) |\n"
@@ -93,8 +92,6 @@ Args parse_args(int argc, char** argv) {
         a.threads = parse_int(value(), "--threads", 1, 4096);
       else if (flag == "--space") a.space = value();
       else if (flag == "--observe-log") a.observe_log = value();
-      else if (flag == "--beam-width")
-        a.service.beam_width = parse_int(value(), "--beam-width", 0, 1 << 20);
       else usage(argv[0]);
     }
   } catch (const Error& e) {
@@ -248,7 +245,7 @@ int run(const Args& a) {
   const core::MeasurementDb db(
       sim, core::SearchSpace::by_name(a.space, machine),
       workloads::Suite::instance().all_regions());
-  serve::TuningService service(db, a.model_path, a.service);
+  serve::TuningService service(db, a.model_path);
   std::fprintf(stderr, "serving %s v%llu with %d threads\n",
                a.model_path.c_str(),
                static_cast<unsigned long long>(service.model_version()),

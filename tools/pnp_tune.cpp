@@ -43,7 +43,6 @@ struct Args {
   std::string precision;  // empty = keep the artifact's default (f64)
   std::string heads = "factored";  // factored | dense
   std::string space = "table1";    // table1 | extended
-  int beam_width = 0;              // <= 0 = full-width (exact) search
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -52,10 +51,9 @@ struct Args {
                "  %s train   --machine NAME --scenario power|edp\n"
                "             --out MODEL [--epochs N] [--scalar-cap]\n"
                "             [--precision f64|f32] [--heads factored|dense]\n"
-               "             [--space table1|extended] [--beam-width N]\n"
-               "             [--predictions FILE]\n"
+               "             [--space table1|extended] [--predictions FILE]\n"
                "  %s predict --machine NAME --model MODEL\n"
-               "             [--space table1|extended] [--beam-width N]\n"
+               "             [--space table1|extended]\n"
                "             [--predictions FILE]\n"
                "  %s info    --model MODEL\n"
                "machine names: haswell, skylake, or gen:<seed>:<index>\n",
@@ -84,8 +82,6 @@ Args parse_args(int argc, char** argv) {
       else if (flag == "--precision") a.precision = value();
       else if (flag == "--heads") a.heads = value();
       else if (flag == "--space") a.space = value();
-      else if (flag == "--beam-width")
-        a.beam_width = parse_int(value(), "--beam-width", 0, 1 << 20);
       else usage(argv[0]);
     }
   } catch (const Error& e) {
@@ -171,9 +167,7 @@ int cmd_train(const Args& a) {
                a.model_path.c_str(),
                nn::precision_name(tuner.serve_precision()));
 
-  serve::TuningServiceOptions sopt;
-  sopt.beam_width = a.beam_width;
-  serve::TuningService service(std::move(tuner), sopt);
+  serve::TuningService service(std::move(tuner));
   dump_to(service, a.predictions_path);
   return 0;
 }
@@ -185,9 +179,7 @@ int cmd_predict(const Args& a) {
   const core::MeasurementDb db(
       sim, core::SearchSpace::by_name(a.space, machine),
       workloads::Suite::instance().all_regions());
-  serve::TuningServiceOptions sopt;
-  sopt.beam_width = a.beam_width;
-  serve::TuningService service(db, a.model_path, sopt);
+  serve::TuningService service(db, a.model_path);
   std::fprintf(stderr, "loaded artifact %s (%zu regions)\n",
                a.model_path.c_str(),
                static_cast<std::size_t>(db.num_regions()));
