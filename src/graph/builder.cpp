@@ -65,11 +65,8 @@ FlowGraph build_flow_graph(const ir::Module& m) {
   for (const auto& fn : m.functions) {
     FnInfo& info = fn_info[fn.name];
 
-    // Variable nodes for args / temps / globals (globals shared per module,
-    // temps per function).
+    // Variable nodes for args and temps, per function (globals below).
     std::map<int, int> arg_node, temp_node;
-    static std::map<int, int>* global_nodes = nullptr;  // not used; see below
-    (void)global_nodes;
     std::map<std::pair<int, long long>, int> const_int_node;
     std::map<std::pair<int, double>, int> const_float_node;
 

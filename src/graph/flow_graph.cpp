@@ -41,6 +41,11 @@ std::vector<int> GraphTensors::in_degree(int relation) const {
 
 void GraphTensors::finalize() const { row_plan(); }
 
+void GraphTensors::finalize_backward() const {
+  finalize();
+  source_index();
+}
+
 const RelationCsr& GraphTensors::csr(int relation) const {
   PNP_CHECK(relation >= 0 && relation < kNumModelRelations);
   const auto ri = static_cast<std::size_t>(relation);
@@ -156,6 +161,47 @@ const RowPlan& GraphTensors::row_plan() const {
   plan_edges_ = csr_edges_;
   plan_nodes_ = num_nodes;
   return p;
+}
+
+const SourceIndex& GraphTensors::source_index() const {
+  for (int r = 0; r < kNumModelRelations; ++r) csr(r);
+  if (sources_nodes_ == num_nodes && sources_edges_ == csr_edges_)
+    return sources_;
+
+  SourceIndex& si = sources_;
+  const auto n = static_cast<std::size_t>(num_nodes);
+  si.rel_base.assign(kNumModelRelations + 1, 0);
+  std::size_t edges = 0;
+  for (std::size_t r = 0; r < kNumModelRelations; ++r) {
+    si.rel_base[r + 1] = si.rel_base[r] + csr_[r].num_active();
+    edges += csr_[r].src.size();
+  }
+
+  // Counting sort of the (source, stacked row) pairs by source. Walking
+  // relations, then active targets, then their CSR rows in order, and
+  // filling stably, leaves each source's rows in that same order.
+  si.offset.assign(n + 1, 0);
+  for (const RelationCsr& c : csr_)
+    for (int s : c.src) ++si.offset[static_cast<std::size_t>(s) + 1];
+  for (std::size_t i = 0; i < n; ++i) si.offset[i + 1] += si.offset[i];
+  si.row.resize(edges);
+  std::vector<int> cursor(si.offset.begin(), si.offset.end() - 1);
+  for (std::size_t r = 0; r < kNumModelRelations; ++r) {
+    const RelationCsr& c = csr_[r];
+    for (int idx = 0; idx < c.num_active(); ++idx) {
+      const auto t =
+          static_cast<std::size_t>(c.active_dst[static_cast<std::size_t>(idx)]);
+      for (int e = c.row_offset[t]; e < c.row_offset[t + 1]; ++e) {
+        const auto s =
+            static_cast<std::size_t>(c.src[static_cast<std::size_t>(e)]);
+        si.row[static_cast<std::size_t>(cursor[s]++)] = si.rel_base[r] + idx;
+      }
+    }
+  }
+
+  sources_edges_ = csr_edges_;
+  sources_nodes_ = num_nodes;
+  return si;
 }
 
 }  // namespace pnp::graph

@@ -114,6 +114,22 @@ struct RowPlan {
   int num_tiles() const { return static_cast<int>(tile_sig.size()); }
 };
 
+/// The reverse index of the RGCN backward's gather pass (nn::rgcn_gather).
+/// The compressed rows of all relations are stacked in ascending relation
+/// order: relation r's i-th active target (RelationCsr::active_dst[i]) is
+/// stacked row rel_base[r] + i. Node s receives, in this order, the stacked
+/// rows `row[offset[s] .. offset[s+1])`: relations ascending, then target
+/// positions ascending, one entry per edge (a duplicate edge repeats its
+/// row) — the order in which a scatter over each relation's CSR rows would
+/// reach s. So each node's rows are non-decreasing.
+struct SourceIndex {
+  std::vector<int> rel_base;  ///< size kNumModelRelations + 1
+  std::vector<int> offset;    ///< size num_nodes + 1
+  std::vector<int> row;       ///< one entry per edge
+
+  int num_rows() const { return rel_base.empty() ? 0 : rel_base.back(); }
+};
+
 /// Edge lists regrouped per model relation (3 edge types × 2 directions) —
 /// the compact form consumed by the RGCN. Relation index = 2*rel + dir,
 /// dir 0 = forward (src→dst as stored), dir 1 = reversed.
@@ -136,6 +152,11 @@ struct GraphTensors {
   /// skip: csr() and row_plan() build lazily.
   void finalize() const;
 
+  /// finalize() plus the backward pass's source index. A trainer calls
+  /// this before its workers share the graph; encoding alone never needs
+  /// the index, so the serving path does not build it.
+  void finalize_backward() const;
+
   /// CSR view of one model relation. Lazily (re)built when the relation's
   /// edge-list size or the node count changed since the last build, so
   /// hand-assembled tensors (tests) work without an explicit finalize().
@@ -149,6 +170,10 @@ struct GraphTensors {
   /// staleness rule and thread-safety caveat as csr().
   const RowPlan& row_plan() const;
 
+  /// Source index over the current CSR forms: lazily (re)built, with the
+  /// same staleness rule and thread-safety caveat as csr().
+  const SourceIndex& source_index() const;
+
  private:
   mutable std::array<RelationCsr, kNumModelRelations> csr_;
   mutable std::array<std::size_t, kNumModelRelations> csr_edges_{};
@@ -158,6 +183,10 @@ struct GraphTensors {
   /// The CSR shapes (csr_edges_, csr_nodes_) plan_ was built from.
   mutable std::array<std::size_t, kNumModelRelations> plan_edges_{};
   mutable int plan_nodes_ = -1;
+  mutable SourceIndex sources_;
+  /// The CSR shapes sources_ was built from.
+  mutable std::array<std::size_t, kNumModelRelations> sources_edges_{};
+  mutable int sources_nodes_ = -1;
 };
 
 }  // namespace pnp::graph

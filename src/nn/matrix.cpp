@@ -156,6 +156,76 @@ inline void for_each_segment(const LayerArgs& g, const TileRows& t, Seg&& seg) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Two-pass RGCN layer backward (rgcn_layer_backward, rgcn_gather). The tile
+// pass walks the row plan like the forward kernel, but each segment leaves
+// through its own store: the self term into DH, relation r's into its
+// compressed rows of D, times the row's 1/c. The entry point transposes
+// each weight once (k×n), so every segment streams rows as the GEMM driver
+// does. Its row and column loops are spelled out per kernel, as the
+// forward's are: with the forward routed through shared generic-lambda
+// loops instead, GCC 12 kept its accumulators in memory and the encode
+// ran 40% slower.
+// ---------------------------------------------------------------------------
+
+struct BackArgs {
+  const double* dz;                                 // N×k
+  const double* wt[1 + graph::kNumModelRelations];  // self, then per relation
+  const double* inv[graph::kNumModelRelations];     // per compressed row
+  double* dh;                                       // N×n
+  double* d[graph::kNumModelRelations];             // compressed rows, n wide
+  int n, k, nrel;
+};
+
+// The segments of one backward micro-tile: the self term, then each
+// relation of the tile's set in ascending order. Calls
+// seg(dz rows, Wᵀ, output rows, row scales); the self term's scale is 1,
+// which leaves its products untouched (x·1 = x exactly).
+template <int MI, class Seg>
+inline void for_each_back_segment(const BackArgs& g, const TileRows& t,
+                                  Seg&& seg) {
+  const double* ar[MI];
+  double* out[MI];
+  double scale[MI];
+  for (int r = 0; r < MI; ++r) {
+    ar[r] = k_row(g.dz, t.rows[r], g.k);
+    out[r] = k_row(g.dh, t.rows[r], g.n);
+    scale[r] = 1.0;
+  }
+  seg(ar, g.wt[0], out, scale);
+  const int* mr = t.mrow;
+  for (int rel = 0; rel < g.nrel; ++rel) {
+    if (!((t.sig >> rel) & 1u)) continue;
+    for (int r = 0; r < MI; ++r) {
+      out[r] = k_row(g.d[rel], mr[r], g.n);
+      scale[r] = g.inv[rel][mr[r]];
+    }
+    seg(ar, g.wt[1 + rel], out, scale);
+    mr += t.stride;
+  }
+}
+
+struct GatherArgs {
+  const double* d;  // stacked compressed rows, n wide
+  const int* offset;
+  const int* rows;
+  int row_end;         // rows at or past this index are not gathered
+  const double* act;   // N×n activation for the mask, or null
+  double slope;
+  double* dh;  // N×n
+  int n;
+};
+
+// The rows node s gathers: [offset[s], offset[s+1]) cut at the first row
+// past row_end (each node's rows are non-decreasing).
+template <class F>
+inline void for_each_gathered_row(const GatherArgs& g, int s, F&& f) {
+  for (int q = g.offset[s]; q < g.offset[s + 1]; ++q) {
+    if (g.rows[q] >= g.row_end) break;
+    f(k_row(g.d, g.rows[q], g.n));
+  }
+}
+
 #if defined(__AVX512F__)
 
 constexpr int kRowTile = 8;   // C rows per micro-tile
@@ -258,6 +328,44 @@ inline void layer_segment(__m512d (&acc)[MI][NV], const double* const (&ar)[MI],
   }
 }
 
+// One segment of the backward tile pass: out[r] = scale[r] · (A rows ·
+// Wᵀ), the product chain from zero. The accumulators are locals no load
+// here can alias, so they stay in registers across the reduction.
+template <int MI, int NV>
+inline void back_segment(const double* const (&ar)[MI], const double* wt,
+                         int k, int n, double* const (&out)[MI],
+                         const double (&scale)[MI], int j0, __mmask8 tail) {
+  const double* a[MI];
+  __m512d acc[MI][NV];
+  for (int r = 0; r < MI; ++r) {
+    a[r] = ar[r];
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_pd();
+  }
+  for (int p = 0; p < k; ++p) {
+    const double* bp = k_row(wt, p, n) + j0;
+    __m512d bv[NV];
+    for (int v = 0; v < NV; ++v)
+      bv[v] = (v == NV - 1) ? _mm512_maskz_loadu_pd(tail, bp + 8 * v)
+                            : _mm512_loadu_pd(bp + 8 * v);
+    for (int r = 0; r < MI; ++r) {
+      const __m512d av = _mm512_set1_pd(a[r][p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm512_fmadd_pd(av, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < MI; ++r) {
+    const __m512d sc = _mm512_set1_pd(scale[r]);
+    double* cr = out[r] + j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m512d y = _mm512_mul_pd(acc[r][v], sc);
+      if (v == NV - 1)
+        _mm512_mask_storeu_pd(cr + 8 * v, tail, y);
+      else
+        _mm512_storeu_pd(cr + 8 * v, y);
+    }
+  }
+}
+
 template <int MI, int NV>
 void layer_micro(const LayerArgs& g, const TileRows& t, int j0, __mmask8 tail) {
   __m512d acc[MI][NV];
@@ -299,6 +407,82 @@ void layer_cols(const LayerArgs& g, const TileRows& t) {
     case 1: layer_micro<MI, 1>(g, t, j0, tail); break;
     case 2: layer_micro<MI, 2>(g, t, j0, tail); break;
     case 3: layer_micro<MI, 3>(g, t, j0, tail); break;
+    default: break;
+  }
+}
+
+template <int MI, int NV>
+void back_micro(const BackArgs& g, const TileRows& t, int j0, __mmask8 tail) {
+  for_each_back_segment<MI>(g, t,
+                            [&](const double* const (&ar)[MI], const double* wt,
+                                double* const (&out)[MI],
+                                const double (&scale)[MI]) {
+    back_segment<MI, NV>(ar, wt, g.k, g.n, out, scale, j0, tail);
+  });
+}
+
+template <int NV>
+void gather_block(const GatherArgs& g, int s, int j0, __mmask8 tail) {
+  double* out = k_row(g.dh, s, g.n) + j0;
+  __m512d acc[NV];
+  for (int v = 0; v < NV; ++v)
+    acc[v] = (v == NV - 1) ? _mm512_maskz_loadu_pd(tail, out + 8 * v)
+                           : _mm512_loadu_pd(out + 8 * v);
+  for_each_gathered_row(g, s, [&](const double* src) {
+    src += j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m512d x = (v == NV - 1) ? _mm512_maskz_loadu_pd(tail, src + 8 * v)
+                                      : _mm512_loadu_pd(src + 8 * v);
+      acc[v] = _mm512_add_pd(acc[v], x);
+    }
+  });
+  if (g.act != nullptr) {
+    const double* a = k_row(g.act, s, g.n) + j0;
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d slope = _mm512_set1_pd(g.slope);
+    for (int v = 0; v < NV; ++v) {
+      const __m512d av = (v == NV - 1) ? _mm512_maskz_loadu_pd(tail, a + 8 * v)
+                                       : _mm512_loadu_pd(a + 8 * v);
+      acc[v] = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(av, zero, _CMP_GT_OQ),
+                                    _mm512_mul_pd(acc[v], slope), acc[v]);
+    }
+  }
+  for (int v = 0; v < NV; ++v) {
+    if (v == NV - 1)
+      _mm512_mask_storeu_pd(out + 8 * v, tail, acc[v]);
+    else
+      _mm512_storeu_pd(out + 8 * v, acc[v]);
+  }
+}
+
+template <int MI>
+void back_cols(const BackArgs& g, const TileRows& t) {
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile)
+    back_micro<MI, 3>(g, t, j0, 0xff);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const auto tail =
+      static_cast<__mmask8>((rem % 8) ? ((1u << (rem % 8)) - 1u) : 0xffu);
+  switch ((rem + 7) / 8) {
+    case 1: back_micro<MI, 1>(g, t, j0, tail); break;
+    case 2: back_micro<MI, 2>(g, t, j0, tail); break;
+    case 3: back_micro<MI, 3>(g, t, j0, tail); break;
+    default: break;
+  }
+}
+
+void gather_row(const GatherArgs& g, int s) {
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile) gather_block<3>(g, s, j0, 0xff);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const auto tail =
+      static_cast<__mmask8>((rem % 8) ? ((1u << (rem % 8)) - 1u) : 0xffu);
+  switch ((rem + 7) / 8) {
+    case 1: gather_block<1>(g, s, j0, tail); break;
+    case 2: gather_block<2>(g, s, j0, tail); break;
+    case 3: gather_block<3>(g, s, j0, tail); break;
     default: break;
   }
 }
@@ -401,6 +585,44 @@ inline void layer_segment(__m256d (&acc)[MI][NV], const double* const (&ar)[MI],
   }
 }
 
+// One segment of the backward tile pass: out[r] = scale[r] · (A rows ·
+// Wᵀ), the product chain from zero. The accumulators are locals no load
+// here can alias, so they stay in registers across the reduction.
+template <int MI, int NV>
+inline void back_segment(const double* const (&ar)[MI], const double* wt,
+                         int k, int n, double* const (&out)[MI],
+                         const double (&scale)[MI], int j0, __m256i tail) {
+  const double* a[MI];
+  __m256d acc[MI][NV];
+  for (int r = 0; r < MI; ++r) {
+    a[r] = ar[r];
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (int p = 0; p < k; ++p) {
+    const double* bp = k_row(wt, p, n) + j0;
+    __m256d bv[NV];
+    for (int v = 0; v < NV; ++v)
+      bv[v] = (v == NV - 1) ? _mm256_maskload_pd(bp + 4 * v, tail)
+                            : _mm256_loadu_pd(bp + 4 * v);
+    for (int r = 0; r < MI; ++r) {
+      const __m256d av = _mm256_set1_pd(a[r][p]);
+      for (int v = 0; v < NV; ++v)
+        acc[r][v] = _mm256_fmadd_pd(av, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < MI; ++r) {
+    const __m256d sc = _mm256_set1_pd(scale[r]);
+    double* cr = out[r] + j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m256d y = _mm256_mul_pd(acc[r][v], sc);
+      if (v == NV - 1)
+        _mm256_maskstore_pd(cr + 4 * v, tail, y);
+      else
+        _mm256_storeu_pd(cr + 4 * v, y);
+    }
+  }
+}
+
 template <int MI, int NV>
 void layer_micro(const LayerArgs& g, const TileRows& t, int j0, __m256i tail) {
   __m256d acc[MI][NV];
@@ -440,6 +662,78 @@ void layer_cols(const LayerArgs& g, const TileRows& t) {
     layer_micro<MI, 2>(g, t, j0, tail);
   else
     layer_micro<MI, 1>(g, t, j0, tail);
+}
+
+template <int MI, int NV>
+void back_micro(const BackArgs& g, const TileRows& t, int j0, __m256i tail) {
+  for_each_back_segment<MI>(g, t,
+                            [&](const double* const (&ar)[MI], const double* wt,
+                                double* const (&out)[MI],
+                                const double (&scale)[MI]) {
+    back_segment<MI, NV>(ar, wt, g.k, g.n, out, scale, j0, tail);
+  });
+}
+
+template <int NV>
+void gather_block(const GatherArgs& g, int s, int j0, __m256i tail) {
+  double* out = k_row(g.dh, s, g.n) + j0;
+  __m256d acc[NV];
+  for (int v = 0; v < NV; ++v)
+    acc[v] = (v == NV - 1) ? _mm256_maskload_pd(out + 4 * v, tail)
+                           : _mm256_loadu_pd(out + 4 * v);
+  for_each_gathered_row(g, s, [&](const double* src) {
+    src += j0;
+    for (int v = 0; v < NV; ++v) {
+      const __m256d x = (v == NV - 1) ? _mm256_maskload_pd(src + 4 * v, tail)
+                                      : _mm256_loadu_pd(src + 4 * v);
+      acc[v] = _mm256_add_pd(acc[v], x);
+    }
+  });
+  if (g.act != nullptr) {
+    const double* a = k_row(g.act, s, g.n) + j0;
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d slope = _mm256_set1_pd(g.slope);
+    for (int v = 0; v < NV; ++v) {
+      const __m256d av = (v == NV - 1) ? _mm256_maskload_pd(a + 4 * v, tail)
+                                       : _mm256_loadu_pd(a + 4 * v);
+      acc[v] = _mm256_blendv_pd(_mm256_mul_pd(acc[v], slope), acc[v],
+                                _mm256_cmp_pd(av, zero, _CMP_GT_OQ));
+    }
+  }
+  for (int v = 0; v < NV; ++v) {
+    if (v == NV - 1)
+      _mm256_maskstore_pd(out + 4 * v, tail, acc[v]);
+    else
+      _mm256_storeu_pd(out + 4 * v, acc[v]);
+  }
+}
+
+template <int MI>
+void back_cols(const BackArgs& g, const TileRows& t) {
+  const __m256i full = avx2_tail_mask(4);
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile)
+    back_micro<MI, 2>(g, t, j0, full);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const __m256i tail = avx2_tail_mask((rem % 4) ? rem % 4 : 4);
+  if (rem > 4)
+    back_micro<MI, 2>(g, t, j0, tail);
+  else
+    back_micro<MI, 1>(g, t, j0, tail);
+}
+
+void gather_row(const GatherArgs& g, int s) {
+  const __m256i full = avx2_tail_mask(4);
+  int j0 = 0;
+  for (; j0 + kColTile <= g.n; j0 += kColTile) gather_block<2>(g, s, j0, full);
+  const int rem = g.n - j0;
+  if (rem == 0) return;
+  const __m256i tail = avx2_tail_mask((rem % 4) ? rem % 4 : 4);
+  if (rem > 4)
+    gather_block<2>(g, s, j0, tail);
+  else
+    gather_block<1>(g, s, j0, tail);
 }
 
 #else  // scalar fallback
@@ -523,6 +817,54 @@ void layer_cols(const LayerArgs& g, const TileRows& t) {
     layer_micro<MI>(g, t, j0, std::min(kColTile, g.n - j0));
 }
 
+template <int MI>
+void back_micro(const BackArgs& g, const TileRows& t, int j0, int nj) {
+  for_each_back_segment<MI>(g, t,
+                            [&](const double* const (&ar)[MI], const double* wt,
+                                double* const (&out)[MI],
+                                const double (&scale)[MI]) {
+    double acc[MI][kColTile];
+    for (int r = 0; r < MI; ++r)
+      for (int j = 0; j < nj; ++j) acc[r][j] = 0.0;
+    for (int p = 0; p < g.k; ++p) {
+      const double* bp = k_row(wt, p, g.n) + j0;
+      double av[MI];
+      for (int r = 0; r < MI; ++r) av[r] = ar[r][p];
+      for (int r = 0; r < MI; ++r)
+        for (int j = 0; j < nj; ++j) acc[r][j] += av[r] * bp[j];
+    }
+    for (int r = 0; r < MI; ++r) {
+      double* cr = out[r] + j0;
+      for (int j = 0; j < nj; ++j) cr[j] = acc[r][j] * scale[r];
+    }
+  });
+}
+
+inline void gather_block(const GatherArgs& g, int s, int j0, int nj) {
+  double* out = k_row(g.dh, s, g.n) + j0;
+  double acc[kColTile];
+  for (int j = 0; j < nj; ++j) acc[j] = out[j];
+  for_each_gathered_row(g, s, [&](const double* src) {
+    for (int j = 0; j < nj; ++j) acc[j] += src[j0 + j];
+  });
+  if (g.act != nullptr) {
+    const double* a = k_row(g.act, s, g.n) + j0;
+    for (int j = 0; j < nj; ++j) acc[j] *= a[j] > 0.0 ? 1.0 : g.slope;
+  }
+  for (int j = 0; j < nj; ++j) out[j] = acc[j];
+}
+
+template <int MI>
+void back_cols(const BackArgs& g, const TileRows& t) {
+  for (int j0 = 0; j0 < g.n; j0 += kColTile)
+    back_micro<MI>(g, t, j0, std::min(kColTile, g.n - j0));
+}
+
+void gather_row(const GatherArgs& g, int s) {
+  for (int j0 = 0; j0 < g.n; j0 += kColTile)
+    gather_block(g, s, j0, std::min(kColTile, g.n - j0));
+}
+
 #endif  // ISA selection
 
 static_assert(graph::RowPlan::kTileRows % kRowTile == 0,
@@ -539,10 +881,31 @@ void layer_rows(const LayerArgs& g, const TileRows& t, int mi) {
   }
 }
 
+/// back_cols<mi> for a runtime row count mi in [1, kRowTile].
+template <int MI = kRowTile>
+void back_rows(const BackArgs& g, const TileRows& t, int mi) {
+  if constexpr (MI >= 1) {
+    if (mi == MI)
+      back_cols<MI>(g, t);
+    else
+      back_rows<MI - 1>(g, t, mi);
+  }
+}
+
 template <AMode AM, CInit CI>
 void gemm_drive(const GemmArgs& g) {
   for (int i0 = 0; i0 < g.m; i0 += kRowTile)
     row_block<AM, CI>(g, i0, std::min(kRowTile, g.m - i0));
+}
+
+/// B (n×k) transposed into bt (k×n).
+void transpose_into(const Matrix& b, double* bt) {
+  const int n = b.rows(), k = b.cols();
+  for (int j = 0; j < n; ++j) {
+    const double* bj = b.row(j);
+    for (int p = 0; p < k; ++p)
+      bt[static_cast<std::size_t>(p) * n + j] = bj[p];
+  }
 }
 
 /// B (n×k) transposed into a per-thread scratch (k×n) so A·Bᵀ runs through
@@ -550,15 +913,9 @@ void gemm_drive(const GemmArgs& g) {
 /// reused, so steady-state training does not allocate here.
 const double* transpose_to_scratch(const Matrix& b) {
   thread_local std::vector<double> scratch;
-  const int n = b.rows(), k = b.cols();
-  scratch.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  double* bt = scratch.data();
-  for (int j = 0; j < n; ++j) {
-    const double* bj = b.row(j);
-    for (int p = 0; p < k; ++p)
-      bt[static_cast<std::size_t>(p) * n + j] = bj[p];
-  }
-  return bt;
+  scratch.resize(b.size());
+  transpose_into(b, scratch.data());
+  return scratch.data();
 }
 
 }  // namespace
@@ -611,6 +968,72 @@ void rgcn_layer(const Matrix& a, const Matrix& b, std::span<const double> bias,
   }
 }
 
+void rgcn_layer_backward(const Matrix& dz, const Matrix& w0,
+                         std::span<const Matrix* const> w,
+                         std::span<const double* const> inv,
+                         std::span<const int> rel_base,
+                         const graph::RowPlan& plan, Matrix& dh, Matrix& d) {
+  const int k = dz.cols(), n = w0.rows();
+  const auto nrel = w.size();
+  PNP_CHECK_MSG(w0.cols() == k && dh.rows() == dz.rows() && dh.cols() == n &&
+                    static_cast<int>(plan.order.size()) == dz.rows() &&
+                    inv.size() == nrel && rel_base.size() > nrel &&
+                    nrel <= static_cast<std::size_t>(
+                                graph::kNumModelRelations) &&
+                    d.cols() == n && d.rows() >= rel_base[nrel],
+                "rgcn_layer_backward shapes mismatch");
+  // Every weight the tile pass reads, transposed once into a per-thread
+  // scratch (grown once, then reused): the self weight, then each
+  // relation with compressed rows.
+  thread_local std::vector<double> scratch;
+  const auto wsize = static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
+  scratch.resize((nrel + 1) * wsize);
+  BackArgs g{};
+  g.dz = dz.data();
+  g.dh = dh.data();
+  g.n = n;
+  g.k = k;
+  g.nrel = static_cast<int>(nrel);
+  transpose_into(w0, scratch.data());
+  g.wt[0] = scratch.data();
+  for (std::size_t r = 0; r < nrel; ++r) {
+    if (rel_base[r + 1] == rel_base[r]) continue;  // no rows: never read
+    PNP_CHECK(w[r]->rows() == n && w[r]->cols() == k);
+    double* wt = scratch.data() + (r + 1) * wsize;
+    transpose_into(*w[r], wt);
+    g.wt[r + 1] = wt;
+    g.inv[r] = inv[r];
+    g.d[r] = d.row(rel_base[r]);
+  }
+  for (int t = 0; t < plan.num_tiles(); ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    const int first = plan.tile_start[ti];
+    const int rows = plan.tile_start[ti + 1] - first;
+    const int* mrow = plan.mrow.data() + plan.tile_mrow[ti];
+    for (int i0 = 0; i0 < rows; i0 += kRowTile)
+      back_rows(g,
+                TileRows{plan.order.data() + first + i0, plan.tile_sig[ti],
+                         mrow + i0, rows},
+                std::min(kRowTile, rows - i0));
+  }
+}
+
+void rgcn_gather(const Matrix& d, std::span<const int> offset,
+                 std::span<const int> rows, int row_end, const Matrix* act,
+                 double slope, Matrix& dh) {
+  const int n = dh.cols();
+  PNP_CHECK_MSG(d.cols() == n && row_end <= d.rows() &&
+                    static_cast<int>(offset.size()) == dh.rows() + 1 &&
+                    (act == nullptr || act->same_shape(dh)),
+                "rgcn_gather shapes mismatch");
+  const GatherArgs g{d.data(),      offset.data(),
+                     rows.data(),   row_end,
+                     act == nullptr ? nullptr : act->data(),
+                     slope,         dh.data(),
+                     n};
+  for (int s = 0; s < dh.rows(); ++s) gather_row(g, s);
+}
+
 void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   PNP_CHECK_MSG(a.rows() == b.rows() && a.cols() == c.rows() &&
                     b.cols() == c.cols(),
@@ -634,18 +1057,6 @@ void gemm_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   gemm_drive<AMode::Normal, CInit::Acc>(g);
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
-  PNP_CHECK_MSG(a.cols() == b.cols() && a.rows() == c.rows() &&
-                    b.rows() == c.cols(),
-                "gemm_nt shapes mismatch");
-  const GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
-                   transpose_to_scratch(b),
-                   static_cast<std::size_t>(b.rows()),
-                   c.data(),  static_cast<std::size_t>(c.cols()),
-                   nullptr,   c.rows(), c.cols(), a.cols()};
-  gemm_drive<AMode::Normal, CInit::Fresh>(g);
-}
-
 void gemm_tn_acc_rows(const Matrix& a, const Matrix& b,
                       std::span<const int> rows, Matrix& c) {
   PNP_CHECK_MSG(static_cast<int>(rows.size()) == a.rows() &&
@@ -657,20 +1068,6 @@ void gemm_tn_acc_rows(const Matrix& a, const Matrix& b,
              nullptr,   c.rows(), c.cols(), a.rows()};
   g.bmap = rows.data();
   gemm_drive<AMode::Transposed, CInit::Acc>(g);
-}
-
-void gemm_nt_rows(const Matrix& a, std::span<const int> rows, const Matrix& b,
-                  Matrix& c) {
-  PNP_CHECK_MSG(a.cols() == b.cols() && b.rows() == c.cols() &&
-                    static_cast<int>(rows.size()) == c.rows(),
-                "gemm_nt_rows shapes mismatch");
-  GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
-             transpose_to_scratch(b),
-             static_cast<std::size_t>(b.rows()),
-             c.data(),  static_cast<std::size_t>(c.cols()),
-             nullptr,   c.rows(), c.cols(), a.cols()};
-  g.amap = rows.data();
-  gemm_drive<AMode::Normal, CInit::Fresh>(g);
 }
 
 namespace detail {
@@ -748,6 +1145,32 @@ void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
              nullptr,   a.rows(), c.cols(), a.cols()};
   g.cmap = rows.data();
   gemm_drive<AMode::Normal, CInit::Acc>(g);
+}
+
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
+  PNP_CHECK_MSG(a.cols() == b.cols() && a.rows() == c.rows() &&
+                    b.rows() == c.cols(),
+                "gemm_nt shapes mismatch");
+  const GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
+                   transpose_to_scratch(b),
+                   static_cast<std::size_t>(b.rows()),
+                   c.data(),  static_cast<std::size_t>(c.cols()),
+                   nullptr,   c.rows(), c.cols(), a.cols()};
+  gemm_drive<AMode::Normal, CInit::Fresh>(g);
+}
+
+void gemm_nt_rows(const Matrix& a, std::span<const int> rows, const Matrix& b,
+                  Matrix& c) {
+  PNP_CHECK_MSG(a.cols() == b.cols() && b.rows() == c.cols() &&
+                    static_cast<int>(rows.size()) == c.rows(),
+                "gemm_nt_rows shapes mismatch");
+  GemmArgs g{a.data(),  static_cast<std::size_t>(a.cols()),
+             transpose_to_scratch(b),
+             static_cast<std::size_t>(b.rows()),
+             c.data(),  static_cast<std::size_t>(c.cols()),
+             nullptr,   c.rows(), c.cols(), a.cols()};
+  g.amap = rows.data();
+  gemm_drive<AMode::Normal, CInit::Fresh>(g);
 }
 
 }  // namespace detail

@@ -93,9 +93,6 @@ void gemm_tn_acc(const Matrix& a, const Matrix& b, Matrix& c);
 /// C += A · Bᵀ. Shapes: A (m×k), B (n×k), C (m×n).
 void gemm_nt_acc(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A · Bᵀ (overwrite). Shapes as gemm_nt_acc.
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// One RGCN layer's output in one pass over it (the fused layer kernel).
 /// For every node i of `plan`, with s the signature of i's tile:
 ///
@@ -113,18 +110,46 @@ void rgcn_layer(const Matrix& a, const Matrix& b, std::span<const double> bias,
                 std::span<const Matrix* const> w, const graph::RowPlan& plan,
                 double slope, Matrix& c);
 
-/// Row-mapped variants for CSR message passing: instead of materializing
-/// gathered copies of the compressed per-relation matrices, the kernels
-/// index the mapped operand's rows directly. `rows` must hold distinct
-/// valid row indices of the mapped matrix.
+/// The tile pass of one RGCN layer's input-gradient backward, the mirror
+/// of rgcn_layer. For every node i of `plan`, with s the signature of i's
+/// tile and m_ir the plan's M-row map:
 ///
-/// C += Aᵀ · B_sel with B_sel.row(p) = b.row(rows[p]) — gathered B.
+///   DH.row(i) = DZ.row(i)·W₀ᵀ
+///   D.row(rel_base[r] + m_ir) = inv[r][m_ir] · (DZ.row(i)·W[r]ᵀ)  for r ∈ s
+///
+/// D stacks the compressed rows of every relation (graph::SourceIndex). A
+/// tile's DZ rows feed every segment, and each weight is transposed once
+/// per call. Every element sees gemm_nt's multiply-add chain from zero,
+/// then (relations only) one rounding multiply by inv: bit-identical to
+/// detail::gemm_nt for DH and to detail::gemm_nt_rows followed by a ×inv
+/// pass for D. Shapes: DZ (N×k), W₀ and W[r] (n×k), DH (N×n), D (≥ rel_base[|W|] ×
+/// n); inv[r] holds one entry per compressed row of relation r.
+void rgcn_layer_backward(const Matrix& dz, const Matrix& w0,
+                         std::span<const Matrix* const> w,
+                         std::span<const double* const> inv,
+                         std::span<const int> rel_base,
+                         const graph::RowPlan& plan, Matrix& dh, Matrix& d);
+
+/// The gather pass that completes rgcn_layer_backward. For every node s:
+///
+///   DH.row(s) += D.row(rows[q]) for q in [offset[s], offset[s+1]), in
+///                order, stopping at the first rows[q] ≥ row_end;
+///   then, when `act` is set, DH.row(s) ⊙= (act.row(s) > 0 ? 1 : slope).
+///
+/// With graph::SourceIndex's offsets and rows, every element receives the
+/// adds of a scatter over each relation's CSR rows in the same order, then
+/// the activation mask of the layer below. Shapes: D (≥ row_end × n), DH
+/// and act (N×n), offset N + 1.
+void rgcn_gather(const Matrix& d, std::span<const int> offset,
+                 std::span<const int> rows, int row_end, const Matrix* act,
+                 double slope, Matrix& dh);
+
+/// C += Aᵀ · B_sel with B_sel.row(p) = b.row(rows[p]) — a row-mapped
+/// variant for CSR message passing: the kernel indexes the compressed
+/// per-relation matrix's rows directly instead of materializing a gathered
+/// copy. `rows` must hold distinct valid row indices of b.
 void gemm_tn_acc_rows(const Matrix& a, const Matrix& b,
                       std::span<const int> rows, Matrix& c);
-
-/// C = A_sel · Bᵀ with A_sel.row(i) = a.row(rows[i]) — gathered A.
-void gemm_nt_rows(const Matrix& a, std::span<const int> rows, const Matrix& b,
-                  Matrix& c);
 
 namespace detail {
 
@@ -146,6 +171,16 @@ void gemm_bias(const Matrix& a, const Matrix& b, std::span<const double> bias,
 /// C.row(rows[i]) += A.row(i) · B — scatter-accumulate into distinct rows.
 void gemm_acc_rows(const Matrix& a, const Matrix& b, Matrix& c,
                    std::span<const int> rows);
+
+/// The self and relation terms of the backward that rgcn_layer_backward
+/// fuses, kept for its bit-identity test:
+///
+/// C = A · Bᵀ (overwrite). Shapes as gemm_nt_acc.
+void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// C = A_sel · Bᵀ with A_sel.row(i) = a.row(rows[i]) — gathered A.
+void gemm_nt_rows(const Matrix& a, std::span<const int> rows, const Matrix& b,
+                  Matrix& c);
 
 }  // namespace detail
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,13 +28,25 @@ struct Param {
         g(Matrix::zeros(w.rows(), w.cols())) {}
 };
 
-/// Base optimizer interface; `step` consumes and applies the accumulated
-/// gradients of all trainable params (frozen params are skipped), then the
-/// caller zeroes gradients.
+/// Base optimizer interface. One step runs in two parts, so a trainer can
+/// update each tensor on the thread that summed its gradient:
+///
+///  - begin_step(params) on one thread: sizes the per-parameter state on
+///    first use and advances the step count;
+///  - update(i, *params[i], scale) once per parameter: scales the
+///    accumulated gradient (g *= scale, the batch mean), applies the update
+///    to a trainable parameter and zeroes g (frozen parameters are only
+///    zeroed). Calls for distinct indices touch disjoint state and may run
+///    concurrently.
+///
+/// step(params) is begin_step plus update(i, *params[i], 1.0) for every i
+/// in order, so it leaves every gradient zeroed.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
-  virtual void step(std::vector<Param*>& params) = 0;
+  virtual void begin_step(std::span<Param* const> params) = 0;
+  virtual void update(std::size_t index, Param& p, double grad_scale) = 0;
+  void step(std::span<Param* const> params);
   virtual std::string name() const = 0;
 };
 
@@ -41,7 +54,8 @@ class Optimizer {
 class Sgd final : public Optimizer {
  public:
   explicit Sgd(double lr, double momentum = 0.0);
-  void step(std::vector<Param*>& params) override;
+  void begin_step(std::span<Param* const> params) override;
+  void update(std::size_t index, Param& p, double grad_scale) override;
   std::string name() const override { return "sgd"; }
 
  private:
@@ -73,7 +87,8 @@ class Adam final : public Optimizer {
                                              double weight_decay = 1e-2);
   static std::unique_ptr<Adam> plain(double lr = 1e-3);
 
-  void step(std::vector<Param*>& params) override;
+  void begin_step(std::span<Param* const> params) override;
+  void update(std::size_t index, Param& p, double grad_scale) override;
   std::string name() const override {
     return cfg_.decoupled_weight_decay ? "adamw" : "adam";
   }
@@ -81,6 +96,7 @@ class Adam final : public Optimizer {
  private:
   Config cfg_;
   std::int64_t t_ = 0;
+  double bc1_ = 1.0, bc2_ = 1.0;  // bias corrections of the current step
   std::vector<Matrix> m_, v_, vhat_;  // parallel to params by index
 };
 

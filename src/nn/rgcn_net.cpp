@@ -76,6 +76,28 @@ RgcnNet::RgcnNet(RgcnNetConfig cfg) : cfg_(std::move(cfg)) {
     head_offset_.push_back(off);
     off += h;
   }
+
+  // Phase-B task ownership, in gnn_param_grads' task order: self weights,
+  // relation weights (or per layer its coefficients and bases), biases,
+  // the two tables; then the dense layers.
+  for (const LayerParams& lp : layers_) task_params_.push_back({lp.w0});
+  for (const LayerParams& lp : layers_) {
+    if (cfg_.num_bases > 0) {
+      std::vector<int> owned{lp.coef};
+      owned.insert(owned.end(), lp.basis.begin(), lp.basis.end());
+      task_params_.push_back(std::move(owned));
+    } else {
+      for (int w : lp.wr) task_params_.push_back({w});
+    }
+  }
+  for (const LayerParams& lp : layers_) task_params_.push_back({lp.bias});
+  task_params_.push_back({emb_token_});
+  task_params_.push_back({emb_kind_});
+  task_params_.push_back({w1_, b1_});
+  task_params_.push_back({w2_, b2_});
+  task_params_.push_back({w3_, b3_});
+  PNP_CHECK(static_cast<int>(task_params_.size()) ==
+            num_gnn_grad_tasks() + kDenseLayers);
 }
 
 const Matrix& RgcnNet::relation_weight(const LayerParams& lp, int relation,
@@ -190,15 +212,19 @@ void RgcnNet::encode_into(const graph::GraphTensors& g,
 
 void RgcnNet::reserve(std::span<const graph::GraphTensors* const> graphs,
                       GnnCache& cache, GnnGrads* grads) const {
-  int max_nodes = 0, max_active_any = 0;
+  int max_nodes = 0, max_stacked = 0;
   std::vector<int> max_active(static_cast<std::size_t>(cfg_.num_relations), 0);
   for (const graph::GraphTensors* g : graphs) {
     max_nodes = std::max(max_nodes, g->num_nodes);
     for (int r = 0; r < cfg_.num_relations; ++r) {
       int& m = max_active[static_cast<std::size_t>(r)];
       m = std::max(m, g->csr(r).num_active());
-      max_active_any = std::max(max_active_any, m);
     }
+    // The backward stacks every model relation's compressed rows.
+    int stacked = 0;
+    for (int r = 0; r < graph::kNumModelRelations; ++r)
+      stacked += g->csr(r).num_active();
+    max_stacked = std::max(max_stacked, stacked);
   }
   // Matrix::resize never gives capacity back, so sizing every buffer to
   // its largest shape once is enough.
@@ -224,7 +250,7 @@ void RgcnNet::reserve(std::span<const graph::GraphTensors* const> graphs,
   grads->dz.resize(L);
   for (Matrix& dz : grads->dz) dz.resize(max_nodes, cfg_.hidden);
   grads->dh0.resize(max_nodes, cfg_.emb_dim);
-  grads->dmc.resize(max_active_any, std::max(cfg_.emb_dim, cfg_.hidden));
+  grads->dmc.resize(max_stacked, std::max(cfg_.emb_dim, cfg_.hidden));
 }
 
 RgcnNet::DenseCache RgcnNet::dense_forward(std::span<const double> readout,
@@ -373,65 +399,53 @@ void RgcnNet::gnn_input_grads(const GnnCache& cache,
   const graph::GraphTensors& g = *cache.g;
   const int n = g.num_nodes;
   const int L = cfg_.rgcn_layers;
+  const auto nrel = static_cast<std::size_t>(cfg_.num_relations);
+  const graph::RowPlan& plan = g.row_plan();
+  const graph::SourceIndex& sources = g.source_index();
   gg.dz.resize(static_cast<std::size_t>(L));
 
-  // Readout backward: every node receives d_readout / n. Each layer's
-  // d(loss)/dH lands in the buffer of its dz and is gated in place.
+  // Readout backward: every node receives d_readout / n, gated by the top
+  // layer's activation (its output has the sign of its input). Row 0
+  // holds the quotients until it is gated, last.
   Matrix& top = gg.dz[static_cast<std::size_t>(L - 1)];
   top.resize(n, cfg_.hidden);
-  for (int i = 0; i < n; ++i) {
+  const Matrix& act = cache.H[static_cast<std::size_t>(L)];
+  double* quot = top.row(0);
+  for (int d = 0; d < cfg_.hidden; ++d)
+    quot[d] = d_readout[static_cast<std::size_t>(d)] / static_cast<double>(n);
+  for (int i = n - 1; i >= 0; --i) {
     double* di = top.row(i);
+    const double* ai = act.row(i);
     for (int d = 0; d < cfg_.hidden; ++d)
-      di[d] = d_readout[static_cast<std::size_t>(d)] / static_cast<double>(n);
+      di[d] = quot[d] * leaky_grad(ai[d], cfg_.leaky_slope);
   }
 
+  std::array<const Matrix*, graph::kNumModelRelations> w_ptr{};
+  std::array<const double*, graph::kNumModelRelations> inv{};
   for (int l = L - 1; l >= 0; --l) {
     const auto li = static_cast<std::size_t>(l);
     const LayerParams& lp = layers_[li];
-    const Matrix& act = cache.H[li + 1];
-    const int d_in = cache.H[li].cols();
-
-    // Through the activation (its output has the sign of its input).
-    Matrix& dz = gg.dz[li];
-    for (std::size_t k = 0; k < act.size(); ++k)
-      dz.data()[k] *= leaky_grad(act.data()[k], cfg_.leaky_slope);
-
-    // d(loss)/dH_l: the self-weight term, then every relation's.
-    Matrix& dh_prev = l > 0 ? gg.dz[li - 1] : gg.dh0;
-    dh_prev.resize(n, d_in);
-    gemm_nt(dz, P(lp.w0).w, dh_prev);
-
-    for (int r = 0; r < cfg_.num_relations; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const graph::RelationCsr& csr = g.csr(r);
-      const int active = csr.num_active();
-      PNP_CHECK_MSG(cache.M[li][ri].rows() == active,
+    for (std::size_t r = 0; r < nrel; ++r) {
+      const graph::RelationCsr& csr = g.csr(static_cast<int>(r));
+      PNP_CHECK_MSG(cache.M[li][r].rows() == csr.num_active(),
                     "stale GnnCache: graph edges changed since encode");
-      if (active == 0) continue;
       // In basis mode the combined W_r was computed at encode time.
-      const Matrix& wr =
-          cfg_.num_bases == 0 ? P(lp.wr[ri]).w : cache.relw[li][ri];
-
-      // dM_r = dz·W_rᵀ on compressed rows (dz read at the relation's
-      // active targets through the row map), then scatter back through
-      // the normalized aggregation: dH[s] += (1/c_{t,r})·dM_r[t].
-      Matrix& dmc = gg.dmc;
-      dmc.resize(active, d_in);
-      gemm_nt_rows(dz, csr.active_dst, wr, dmc);
-      for (int idx = 0; idx < active; ++idx) {
-        const auto dst = static_cast<std::size_t>(
-            csr.active_dst[static_cast<std::size_t>(idx)]);
-        const double inv = csr.inv_deg[static_cast<std::size_t>(idx)];
-        double* dmt = dmc.row(idx);
-        for (int d = 0; d < d_in; ++d) dmt[d] *= inv;
-        const int b0 = csr.row_offset[dst];
-        const int b1 = csr.row_offset[dst + 1];
-        for (int e = b0; e < b1; ++e) {
-          double* dhs = dh_prev.row(csr.src[static_cast<std::size_t>(e)]);
-          for (int d = 0; d < d_in; ++d) dhs[d] += dmt[d];
-        }
-      }
+      w_ptr[r] = cfg_.num_bases == 0 ? &P(lp.wr[r]).w : &cache.relw[li][r];
+      inv[r] = csr.inv_deg.data();
     }
+
+    // d(loss)/dH_l in two passes: per plan tile, the self term straight
+    // into dH and every relation's d(loss)/dM_r = (1/c)·dz·W_rᵀ into its
+    // compressed rows; then per node, the relation terms of its out-edges
+    // added in scatter order, and layer l-1's activation gate.
+    Matrix& dh = l > 0 ? gg.dz[li - 1] : gg.dh0;
+    dh.resize(n, cache.H[li].cols());
+    gg.dmc.resize(sources.num_rows(), dh.cols());
+    rgcn_layer_backward(gg.dz[li], P(lp.w0).w, std::span(w_ptr).first(nrel),
+                        std::span(inv).first(nrel), sources.rel_base, plan, dh,
+                        gg.dmc);
+    rgcn_gather(gg.dmc, sources.offset, sources.row, sources.rel_base[nrel],
+                l > 0 ? &cache.H[li] : nullptr, cfg_.leaky_slope, dh);
   }
 }
 
@@ -500,6 +514,11 @@ void RgcnNet::gnn_param_grads(int task, const GnnCache& cache,
     double* gr = gm.row(token ? g.token[ii] : g.kind[ii]);
     for (int d = 0; d < cfg_.emb_dim; ++d) gr[d] += di[d];
   }
+}
+
+std::span<const int> RgcnNet::grad_task_params(int task) const {
+  PNP_CHECK(task >= 0 && task < static_cast<int>(task_params_.size()));
+  return task_params_[static_cast<std::size_t>(task)];
 }
 
 void RgcnNet::gnn_backward(const GnnCache& cache,

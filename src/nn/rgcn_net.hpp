@@ -106,7 +106,9 @@ class RgcnNet {
   struct GnnGrads {
     std::vector<Matrix> dz;  ///< d(loss)/dZ_l of each layer (N×hidden)
     Matrix dh0;              ///< d(loss)/dH_0, the embedding output
-    Matrix dmc;              ///< scratch: d(loss)/dM_r, compressed rows
+    /// Scratch: d(loss)/dM_r of every relation, compressed rows stacked as
+    /// graph::SourceIndex lays them out.
+    Matrix dmc;
   };
 
   /// Run the GNN over one graph (no gradient effects).
@@ -189,7 +191,10 @@ class RgcnNet {
                          const DenseGrads& g);
 
   /// Phase A of the GNN backward for d(loss)/d(readout). The cache must
-  /// come from encode_into() with the current weights.
+  /// come from encode_into() with the current weights. Two passes per
+  /// layer: rgcn_layer_backward over the row plan, then rgcn_gather over
+  /// the graph's source index, which is built on first use unless
+  /// graph::GraphTensors::finalize_backward() built it already.
   void gnn_input_grads(const GnnCache& cache,
                        std::span<const double> d_readout, GnnGrads& g) const;
 
@@ -202,6 +207,14 @@ class RgcnNet {
   /// a caller-owned matrix (basis mode's per-relation M_rᵀ·dz).
   void gnn_param_grads(int task, const GnnCache& cache, const GnnGrads& g,
                        Matrix& scratch);
+
+  /// The parameters whose gradients phase-B task `task` accumulates, as
+  /// indices into params(): GNN tasks are [0, num_gnn_grad_tasks()), dense
+  /// layer l is task num_gnn_grad_tasks() + l. Every parameter belongs to
+  /// exactly one task, and no task reads another task's weights, so a task
+  /// may apply the optimizer update to its own parameters as soon as it
+  /// has summed their gradients over the batch.
+  std::span<const int> grad_task_params(int task) const;
 
   /// One-sample backward of the dense stage: both phases for
   /// d(loss)/d(logits), accumulating into the parameters' gradients;
@@ -272,6 +285,7 @@ class RgcnNet {
   std::vector<LayerParams> layers_;
   int w1_ = -1, b1_ = -1, w2_ = -1, b2_ = -1, w3_ = -1, b3_ = -1;
   std::vector<int> head_offset_;
+  std::vector<std::vector<int>> task_params_;  ///< see grad_task_params()
 
   /// Scratch of the one-sample gnn_backward().
   GnnGrads gnn_grads_;

@@ -2,6 +2,8 @@
 
 #include <sched.h>
 
+#include <chrono>
+
 namespace pnp::nn {
 
 namespace {
@@ -9,6 +11,21 @@ namespace {
 /// Set on a pool's worker threads, and on a run()'s caller while it
 /// executes tasks next to them.
 thread_local bool t_in_task = false;
+
+/// How long a thread polls for the state it waits on before it sleeps on
+/// a condition variable. A trainer starts its loops back to back (two per
+/// mini-batch), each a fraction of a millisecond long: polling keeps the
+/// handoffs off the kernel's wake-up path, whose latency on a shared host
+/// is tens of microseconds, and costs an idle pool at most this long.
+constexpr std::chrono::microseconds kPollFor{50};
+
+/// Returns once `done()` holds or kPollFor has passed.
+template <class Done>
+void poll(Done&& done) {
+  const auto until = std::chrono::steady_clock::now() + kPollFor;
+  while (!done() && std::chrono::steady_clock::now() < until) {
+  }
+}
 
 }  // namespace
 
@@ -56,6 +73,7 @@ void TaskPool::run(int n, const std::function<void(int, int)>& fn) {
   t_in_task = true;
   work(0);
   t_in_task = outer;
+  poll([this] { return busy_.load(std::memory_order_relaxed) == 0; });
   std::exception_ptr err;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -85,6 +103,7 @@ void TaskPool::worker_loop(int slot) {
   t_in_task = true;
   std::uint64_t seen = 0;
   for (;;) {
+    poll([&] { return generation_.load(std::memory_order_relaxed) != seen; });
     {
       std::unique_lock<std::mutex> lk(mu_);
       wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });

@@ -6,6 +6,10 @@
 /// run on one, and so do the trainer's two backward phases and its
 /// per-graph encodes. The calling thread takes part in every loop, and the
 /// workers live exactly as long as the pool (its destructor joins them).
+/// An idle worker polls for the next loop for up to 50 µs before it
+/// sleeps, and so does run()'s caller for the workers' finish, so loops
+/// started back to back (a trainer's two per mini-batch) skip the kernel's
+/// wake-up latency.
 ///
 /// Pools nest without oversubscribing: a pool created while its thread runs
 /// a task of a multi-threaded loop gets one thread (see in_task()). So the
@@ -65,8 +69,12 @@ class TaskPool {
   int n_ = 0;
   std::atomic<int> next_{0};
   std::exception_ptr error_;
-  int busy_ = 0;  ///< workers not yet finished with the current loop
-  std::uint64_t generation_ = 0;
+  /// Workers not yet finished with the current loop. Written under mu_;
+  /// the caller polls it without the lock before it sleeps.
+  std::atomic<int> busy_{0};
+  /// Loops started so far. Written under mu_; idle workers poll it
+  /// without the lock before they sleep.
+  std::atomic<std::uint64_t> generation_{0};
   bool stop_ = false;
 };
 

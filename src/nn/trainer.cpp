@@ -13,12 +13,6 @@ namespace pnp::nn {
 
 namespace {
 
-/// Scale all accumulated gradients by `s` (used to mean-reduce a batch).
-void scale_grads(RgcnNet& net, double s) {
-  for (Param* p : net.params())
-    for (double& g : p->g.flat()) g *= s;
-}
-
 /// TrainerConfig::threads → pool size. Inside a task of another pool
 /// (concurrent LOOCV folds) TaskPool itself caps the pool at one thread.
 int resolve_threads(int requested) {
@@ -151,14 +145,18 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
   PNP_CHECK_MSG(!samples.empty(), "no training samples");
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Validate up front and make sure every graph's CSR form exists before
-  // any worker touches it (lazy builds are not thread-safe).
+  // Validate up front and build every graph's CSR form, row plan and (for
+  // the GNN backward) source index before any worker touches them (lazy
+  // builds are not thread-safe).
+  const bool frozen = net.gnn_frozen();
   for (const TrainSample& s : samples) {
     PNP_CHECK(s.graph != nullptr && !s.members.empty());
-    s.graph->finalize();
+    if (frozen)
+      s.graph->finalize();
+    else
+      s.graph->finalize_backward();
   }
 
-  const bool frozen = net.gnn_frozen();
   TaskPool pool(resolve_threads(cfg.threads));
   std::vector<Matrix> scratch(static_cast<std::size_t>(pool.size()));
 
@@ -198,15 +196,18 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
   int stale = 0;
 
   std::vector<const TrainSample*> batch;
+  const int dense_owner = net.num_gnn_grad_tasks();
   const int gnn_tasks = frozen ? 0 : net.num_gnn_grad_tasks();
 
-  // Gradient of one staged batch, accumulated into the net; returns the
-  // batch's summed member loss. Phase A fills one slot per sample; phase
-  // B runs one task per gradient tensor, each walking the samples in
-  // batch order — every gradient element receives the same adds in the
-  // same order as a one-thread loop over the batch, whatever the thread
-  // count.
-  auto batch_backward = [&]() -> double {
+  // One optimizer step on the staged batch; returns the batch's summed
+  // member loss. Phase A fills one slot per sample; phase B runs one task
+  // per gradient tensor group, each walking the samples in batch order —
+  // every gradient element receives the same adds in the same order as a
+  // one-thread loop over the batch, whatever the thread count. A task then
+  // updates the parameters it owns (RgcnNet::grad_task_params) with the
+  // batch mean and zeroes their gradients: no task reads another's
+  // weights, so the step needs no pass of its own.
+  auto batch_step = [&](double grad_scale) -> double {
     const int nb = static_cast<int>(batch.size());
     grow_slots(batch.size());
     pool.run(nb, [&](int i, int) {
@@ -219,6 +220,7 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
         sample_input_grads(net, s, slot.gc.readout, slot);
       }
     });
+    opt.begin_step(param_ptrs);
     pool.run(gnn_tasks + RgcnNet::kDenseLayers, [&](int task, int worker) {
       for (int i = 0; i < nb; ++i) {
         const SampleSlot& slot = slots[static_cast<std::size_t>(i)];
@@ -233,26 +235,30 @@ TrainReport train(RgcnNet& net, Optimizer& opt,
           net.dense_param_grads(task - gnn_tasks, slot.members[k].dc,
                                 slot.members[k].dg);
       }
+      const int owner =
+          task < gnn_tasks ? task : dense_owner + task - gnn_tasks;
+      for (int p : net.grad_task_params(owner))
+        opt.update(static_cast<std::size_t>(p),
+                   *param_ptrs[static_cast<std::size_t>(p)], grad_scale);
     });
     double loss = 0.0;
     for (int i = 0; i < nb; ++i) loss += slots[static_cast<std::size_t>(i)].loss;
     return loss;
   };
 
+  // Each step leaves the gradients it used zeroed; a frozen GNN's are
+  // never written.
+  net.zero_grad();
   for (int epoch = 0; epoch < cfg.max_epochs; ++epoch) {
     rng.shuffle(order);
     double epoch_loss = 0.0;
     std::size_t total_members = 0;
 
-    net.zero_grad();
     batch.clear();
     int batch_members = 0;
     auto flush = [&]() {
       if (batch_members == 0) return;
-      epoch_loss += batch_backward();
-      scale_grads(net, 1.0 / batch_members);
-      opt.step(param_ptrs);
-      net.zero_grad();
+      epoch_loss += batch_step(1.0 / batch_members);
       batch.clear();
       batch_members = 0;
     };

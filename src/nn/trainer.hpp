@@ -19,9 +19,12 @@
 /// gradient tensor, the parameter gradients, adding up the samples in batch
 /// order (RgcnNet's dense_/gnn_input_grads and dense_/gnn_param_grads). So
 /// every gradient element receives the same floating-point adds in the same
-/// order as a one-thread loop over the batch: the trained weights, epoch
-/// losses and accuracy are bit-identical for every thread count, in every
-/// build (tests/nn_test.cpp, TrainingBitIdenticalAcrossThreadCounts).
+/// order as a one-thread loop over the batch. Each phase-B task then applies
+/// the optimizer update to the tensors it owns (Optimizer::update, which
+/// also zeroes their gradients), so the step runs on the pool too. The
+/// trained weights, epoch losses and accuracy are bit-identical for every
+/// thread count, in every build (tests/nn_test.cpp,
+/// TrainingBitIdenticalAcrossThreadCounts).
 
 #include <cstdint>
 #include <span>

@@ -3,9 +3,10 @@
 /// across random shapes, the row-mapped CSR kernels against materialized
 /// gather/scatter, the CSR form of GraphTensors against the plain edge
 /// lists, the engine's RGCN forward against a from-scratch reference
-/// implementation, and the two-phase backward (input gradients per sample,
-/// then parameter gradients per tensor) against one-sample backward passes
-/// in sequence.
+/// implementation, the fused layer kernels (the forward, and the backward's
+/// tile and gather passes) against the composed kernels they replaced, and
+/// the two-phase backward (input gradients per sample, then parameter
+/// gradients per tensor) against one-sample backward passes in sequence.
 
 #include <gtest/gtest.h>
 
@@ -112,7 +113,7 @@ TEST(GemmKernels, BiasFusedOverwriteMatchesSeparatePasses) {
 
     const Matrix bt = random_matrix(n, k, rng);
     Matrix nt_fast = random_matrix(m, n, rng);
-    gemm_nt(a, bt, nt_fast);
+    detail::gemm_nt(a, bt, nt_fast);
     Matrix nt_ref = Matrix::zeros(m, n);
     detail::gemm_nt_acc_naive(a, bt, nt_ref);
     expect_close(nt_fast, nt_ref);
@@ -165,7 +166,7 @@ TEST(GemmKernels, RowMappedVariantsMatchMaterializedGatherScatter) {
       for (int p = 0; p < k; ++p)
         gathered_a(i, p) = big_a(rows[static_cast<std::size_t>(i)], p);
     Matrix ntr_fast = random_matrix(a_rows, n, rng);
-    gemm_nt_rows(big_a, rows, bt, ntr_fast);
+    detail::gemm_nt_rows(big_a, rows, bt, ntr_fast);
     Matrix ntr_ref = Matrix::zeros(a_rows, n);
     detail::gemm_nt_acc_naive(gathered_a, bt, ntr_ref);
     expect_close(ntr_fast, ntr_ref);
@@ -563,6 +564,145 @@ TEST(RgcnEngine, GroupedLayerKernelBitIdenticalToComposedKernels) {
                              what + " M" + std::to_string(l) + "." +
                                  std::to_string(r));
         ASSERT_EQ(reused.readout, ref.readout) << what;
+      }
+    }
+  }
+}
+
+/// The GNN input-gradient pass as the engine ran it before the two-pass
+/// backward: per layer, an activation-mask pass over dz, the self term by
+/// gemm_nt, then per active relation a row-gathered gemm_nt_rows, a ×(1/c)
+/// pass over its rows and a scatter along the relation's CSR rows. The
+/// engine's dz, dH_0 and parameter gradients must equal it bit for bit.
+RgcnNet::GnnGrads composed_input_grads(RgcnNet& net,
+                                       const RgcnNet::GnnCache& cache,
+                                       std::span<const double> d_readout) {
+  const auto& cfg = net.config();
+  const graph::GraphTensors& g = *cache.g;
+  const int n = g.num_nodes;
+  const auto L = static_cast<std::size_t>(cfg.rgcn_layers);
+  RgcnNet::GnnGrads gg;
+  gg.dz.resize(L);
+  Matrix& top = gg.dz[L - 1];
+  top.resize(n, cfg.hidden);
+  for (int i = 0; i < n; ++i)
+    for (int d = 0; d < cfg.hidden; ++d)
+      top(i, d) =
+          d_readout[static_cast<std::size_t>(d)] / static_cast<double>(n);
+
+  for (std::size_t l = L; l-- > 0;) {
+    const std::string prefix = "rgcn." + std::to_string(l) + ".";
+    const Matrix& act = cache.H[l + 1];
+    const int d_in = cache.H[l].cols();
+    Matrix& dz = gg.dz[l];
+    for (std::size_t k = 0; k < act.size(); ++k)
+      dz.data()[k] *= act.data()[k] > 0.0 ? 1.0 : cfg.leaky_slope;
+    Matrix& dh = l > 0 ? gg.dz[l - 1] : gg.dh0;
+    dh.resize(n, d_in);
+    detail::gemm_nt(dz, param_by_name(net, prefix + "w0"), dh);
+    for (int r = 0; r < cfg.num_relations; ++r) {
+      const graph::RelationCsr& csr = g.csr(r);
+      const int active = csr.num_active();
+      if (active == 0) continue;
+      const Matrix& wr =
+          cfg.num_bases == 0
+              ? param_by_name(net, prefix + "wr." + std::to_string(r))
+              : cache.relw[l][static_cast<std::size_t>(r)];
+      Matrix dmc(active, d_in);
+      detail::gemm_nt_rows(dz, csr.active_dst, wr, dmc);
+      for (int idx = 0; idx < active; ++idx) {
+        const auto dst = static_cast<std::size_t>(
+            csr.active_dst[static_cast<std::size_t>(idx)]);
+        const double inv = csr.inv_deg[static_cast<std::size_t>(idx)];
+        double* dmt = dmc.row(idx);
+        for (int d = 0; d < d_in; ++d) dmt[d] *= inv;
+        for (int e = csr.row_offset[dst]; e < csr.row_offset[dst + 1]; ++e) {
+          double* dhs = dh.row(csr.src[static_cast<std::size_t>(e)]);
+          for (int d = 0; d < d_in; ++d) dhs[d] += dmt[d];
+        }
+      }
+    }
+  }
+  return gg;
+}
+
+/// Every parameter gradient of the GNN's phase-B tasks for one sample.
+std::vector<double> gnn_param_grads_of(RgcnNet& net,
+                                       const RgcnNet::GnnCache& cache,
+                                       const RgcnNet::GnnGrads& gg) {
+  net.zero_grad();
+  Matrix scratch;
+  for (int t = 0; t < net.num_gnn_grad_tasks(); ++t)
+    net.gnn_param_grads(t, cache, gg, scratch);
+  std::vector<double> out;
+  for (Param* p : net.params())
+    out.insert(out.end(), p->g.flat().begin(), p->g.flat().end());
+  return out;
+}
+
+TEST(RgcnEngine, GroupedBackwardBitIdenticalToComposed) {
+  std::vector<graph::GraphTensors> graphs;
+  graphs.push_back(random_graph(40, 6, 31, 30));
+  graphs.push_back(random_graph(130, 6, 32, 400));  // full same-signature tiles
+  graphs.push_back(random_graph(1, 6, 33, 0));      // one node, no edges
+  graphs.push_back(random_graph(1, 6, 34, 2));      // one node, self loops
+  {
+    // Duplicate (t←s) edges, several times over, in two relations.
+    auto g = random_graph(25, 6, 35, 12);
+    for (int k = 0; k < 3; ++k) {
+      g.rel_edges[1].emplace_back(4, 9);
+      g.rel_edges[4].emplace_back(7, 7);
+    }
+    g.rel_edges[1].emplace_back(11, 9);
+    g.rel_edges[1].emplace_back(4, 9);
+    graphs.push_back(std::move(g));
+  }
+  {
+    // Sources only (no in-edges) and sinks only (no out-edges).
+    auto g = random_graph(30, 6, 36, 20);
+    const int base = g.num_nodes;
+    for (int i = 0; i < 8; ++i) {
+      g.token.push_back(i % 6);
+      g.kind.push_back(i % 3);
+      const auto rel = static_cast<std::size_t>(i % graph::kNumModelRelations);
+      if (i < 4)
+        g.rel_edges[rel].emplace_back(base + i, i);  // source only
+      else
+        g.rel_edges[rel].emplace_back(i, base + i);  // sink only
+    }
+    g.num_nodes += 8;
+    graphs.push_back(std::move(g));
+  }
+
+  for (int hidden : {9, 16, 20, 33}) {
+    for (int num_bases : {0, 2}) {
+      auto cfg = small_config(6);
+      cfg.hidden = hidden;
+      cfg.emb_dim = hidden == 16 ? 12 : 6;
+      cfg.rgcn_layers = 4;
+      cfg.num_bases = num_bases;
+      cfg.seed = static_cast<std::uint64_t>(hidden * 10 + num_bases + 1);
+      RgcnNet net(cfg);
+      RgcnNet::GnnCache gc;
+      RgcnNet::GnnGrads reused;
+      Rng rng(static_cast<std::uint64_t>(hidden + num_bases));
+      for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+        const std::string what = "hidden " + std::to_string(hidden) +
+                                 " bases " + std::to_string(num_bases) +
+                                 " graph " + std::to_string(gi);
+        std::vector<double> d_readout(static_cast<std::size_t>(hidden));
+        for (double& v : d_readout) v = rng.uniform(-1.0, 1.0);
+        net.encode_into(graphs[gi], gc);
+        const auto ref = composed_input_grads(net, gc, d_readout);
+        net.gnn_input_grads(gc, d_readout, reused);
+        ASSERT_EQ(reused.dz.size(), ref.dz.size());
+        for (std::size_t l = 0; l < ref.dz.size(); ++l)
+          expect_bit_equal(reused.dz[l], ref.dz[l],
+                           what + " dz" + std::to_string(l));
+        expect_bit_equal(reused.dh0, ref.dh0, what + " dh0");
+        ASSERT_EQ(gnn_param_grads_of(net, gc, reused),
+                  gnn_param_grads_of(net, gc, ref))
+            << what;
       }
     }
   }

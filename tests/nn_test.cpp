@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -14,6 +16,7 @@
 #include "nn/matrix.hpp"
 #include "nn/optim.hpp"
 #include "nn/rgcn_net.hpp"
+#include "nn/task_pool.hpp"
 #include "nn/trainer.hpp"
 
 namespace pnp::nn {
@@ -216,6 +219,86 @@ TEST(Optim, FrozenParamsUntouched) {
   EXPECT_DOUBLE_EQ(p.w(0, 0), 0.0);
 }
 
+/// The trainer's step: begin_step on the caller, then update(i, p, scale)
+/// per tensor on a pool, must equal the old serial step — scale every
+/// gradient, step(), zero — bit for bit, over several steps, for every
+/// optimizer variant and thread count, and must zero every gradient,
+/// frozen parameters' included.
+TEST(Optim, PerTensorUpdateBitIdenticalToStep) {
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<Optimizer>()> make;
+  };
+  const Case cases[] = {
+      {"sgd", [] { return std::make_unique<Sgd>(0.05); }},
+      {"sgd-momentum", [] { return std::make_unique<Sgd>(0.05, 0.9); }},
+      {"adam", [] { return Adam::plain(1e-2); }},
+      {"adam-l2",
+       [] {
+         Adam::Config c;
+         c.lr = 1e-2;
+         c.weight_decay = 0.1;
+         return std::make_unique<Adam>(c);
+       }},
+      {"adamw-amsgrad", [] { return Adam::adamw_amsgrad(1e-2, 0.1); }},
+  };
+  // Odd sizes leave vector tails; the last tensor is frozen.
+  const std::pair<int, int> shapes[] = {
+      {3, 5}, {1, 7}, {17, 3}, {1, 1}, {4, 4}};
+  auto make_params = [&] {
+    Rng rng(3);
+    std::vector<std::unique_ptr<Param>> ps;
+    for (const auto& [r, c] : shapes)
+      ps.push_back(std::make_unique<Param>("p", Matrix::xavier(r, c, rng)));
+    ps.back()->trainable = false;
+    return ps;
+  };
+  auto fill_grads = [](std::vector<Param*>& ps, int step) {
+    Rng rng(100 + static_cast<std::uint64_t>(step));
+    for (Param* p : ps)
+      for (double& g : p->g.flat()) g = rng.uniform(-3.0, 3.0);
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      auto ref_owned = make_params();
+      auto got_owned = make_params();
+      std::vector<Param*> ref, got;
+      for (auto& p : ref_owned) ref.push_back(p.get());
+      for (auto& p : got_owned) got.push_back(p.get());
+      const auto ref_opt = c.make();
+      const auto got_opt = c.make();
+      TaskPool pool(threads);
+      for (int step = 0; step < 6; ++step) {
+        const double scale = 1.0 / (3 + step);
+        fill_grads(ref, step);
+        fill_grads(got, step);
+        for (Param* p : ref)
+          for (double& g : p->g.flat()) g *= scale;
+        ref_opt->step(ref);
+        got_opt->begin_step(got);
+        pool.run(static_cast<int>(got.size()), [&](int i, int) {
+          const auto pi = static_cast<std::size_t>(i);
+          got_opt->update(pi, *got[pi], scale);
+        });
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(std::memcmp(ref[i]->w.data(), got[i]->w.data(),
+                                ref[i]->w.size() * sizeof(double)),
+                    0)
+              << "tensor " << i << " step " << step;
+          for (double g : got[i]->g.flat()) ASSERT_EQ(g, 0.0) << "tensor " << i;
+          for (double g : ref[i]->g.flat()) ASSERT_EQ(g, 0.0) << "tensor " << i;
+        }
+      }
+      // The frozen tensor never moved.
+      const auto fresh = make_params();
+      EXPECT_EQ(std::memcmp(got.back()->w.data(), fresh.back()->w.data(),
+                            fresh.back()->w.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
 TEST(Optim, Names) {
   EXPECT_EQ(Adam::plain(1e-3)->name(), "adam");
   EXPECT_EQ(Adam::adamw_amsgrad()->name(), "adamw");
@@ -341,6 +424,46 @@ TEST(RgcnNet, FreezeGnnStopsGnnUpdates) {
   for (Param* p : net.params()) {
     if (p->name.rfind("rgcn.", 0) == 0 || p->name.rfind("emb.", 0) == 0) {
       for (double v : p->g.flat()) EXPECT_DOUBLE_EQ(v, 0.0);
+    }
+  }
+}
+
+/// Phase-B tasks own disjoint parameter sets that cover the net, so each
+/// task can update its own parameters without a step of its own: every
+/// parameter belongs to exactly one task, the dense layers' tasks own
+/// exactly the dense parameters, and with a frozen GNN the tasks the
+/// trainer still runs (the dense ones) own exactly the trainable ones.
+TEST(RgcnNet, EveryParamOwnedByExactlyOneGradTask) {
+  for (int num_bases : {0, 2}) {
+    for (bool frozen : {false, true}) {
+      SCOPED_TRACE("bases=" + std::to_string(num_bases) +
+                   " frozen=" + std::to_string(frozen));
+      auto cfg = toy_config(10);
+      cfg.num_bases = num_bases;
+      RgcnNet net(cfg);
+      net.set_gnn_frozen(frozen);
+      const auto params = net.params();
+      const int gnn_tasks = net.num_gnn_grad_tasks();
+      std::vector<int> owners(params.size(), 0);
+      for (int t = 0; t < gnn_tasks + RgcnNet::kDenseLayers; ++t) {
+        for (int p : net.grad_task_params(t)) {
+          ASSERT_GE(p, 0);
+          ASSERT_LT(p, static_cast<int>(params.size()));
+          ++owners[static_cast<std::size_t>(p)];
+          const bool dense =
+              params[static_cast<std::size_t>(p)]->name.rfind("dense.", 0) == 0;
+          EXPECT_EQ(dense, t >= gnn_tasks)
+              << params[static_cast<std::size_t>(p)]->name << " task " << t;
+          if (frozen) {
+            EXPECT_EQ(params[static_cast<std::size_t>(p)]->trainable,
+                      t >= gnn_tasks);
+          }
+        }
+      }
+      for (std::size_t i = 0; i < params.size(); ++i)
+        EXPECT_EQ(owners[i], 1) << params[i]->name;
+      EXPECT_THROW(net.grad_task_params(gnn_tasks + RgcnNet::kDenseLayers),
+                   Error);
     }
   }
 }
